@@ -1,6 +1,10 @@
 package graph
 
-import "sapspsgd/internal/rng"
+import (
+	"slices"
+
+	"sapspsgd/internal/rng"
+)
 
 // Matching maps each vertex to its partner, or -1 if unmatched. It always has
 // length N of the graph it was computed on.
@@ -46,18 +50,71 @@ func (m Matching) Valid(n int) bool {
 }
 
 // blossomSolver implements Edmonds' maximum cardinality matching for general
-// graphs in O(V^3). The structure follows the classic contraction-free
-// formulation: a BFS forest is grown from each unmatched root; odd cycles
-// (blossoms) are contracted implicitly by re-basing vertices.
+// graphs. A BFS alternating tree is grown from each unmatched root, and odd
+// cycles (blossoms) are contracted implicitly by re-basing vertices.
+//
+// Its cost follows the work a search does, not the graph size. A search
+// records the vertices it touches and resets only those before the next
+// one, and the LCA and path marks are epoch stamps, never cleared. Each
+// blossom base heads a circular member list (next), so a contraction
+// relabels only the members of the bases it marks: O(path + members) plus
+// sorting the vertices it makes even. A search therefore costs O(touched
+// vertices + their edges + contraction work), and a full augmentation sums
+// that over the searches instead of paying O(V) per search and per blossom.
+//
+// Invariant that keeps the result bit-identical to the O(V)-scan
+// formulation: the vertices a contraction makes even join the BFS queue in
+// ascending vertex index, the order a scan over 0..N-1 would produce. The
+// same augmenting paths are then found in the same order.
 type blossomSolver struct {
-	g       *Graph
-	match   []int
-	parent  []int
-	base    []int
+	adj    [][]int
+	match  []int
+	parent []int
+	base   []int
+	// next links the members of each blossom into a circular list through
+	// its base; a vertex outside any blossom is a one-element list.
+	next []int
+	used []bool
+	// dirty flags the vertices whose state differs from the reset state;
+	// touched lists them for the next search's reset.
+	dirty   []bool
+	touched []int
 	queue   []int
-	used    []bool
-	inPath  []bool
-	lcaMark []bool
+	// lcaMark and inPath hold epoch stamps: a vertex is marked iff its
+	// entry equals epoch, which advances once per contraction.
+	lcaMark []int
+	inPath  []int
+	epoch   int
+	marked  []int // bases marked by the current contraction
+	fresh   []int // vertices the current contraction makes even
+}
+
+// newBlossomSolver returns a solver over adj with an empty matching and
+// every vertex in the reset state.
+func newBlossomSolver(adj [][]int) *blossomSolver {
+	n := len(adj)
+	// The returned matching is its own allocation; the working arrays share
+	// one, which becomes garbage with the solver.
+	ints := make([]int, 5*n)
+	bools := make([]bool, 2*n)
+	s := &blossomSolver{
+		adj:     adj,
+		match:   make([]int, n),
+		parent:  ints[0*n : 1*n],
+		base:    ints[1*n : 2*n],
+		next:    ints[2*n : 3*n],
+		lcaMark: ints[3*n : 4*n],
+		inPath:  ints[4*n : 5*n],
+		used:    bools[:n],
+		dirty:   bools[n:],
+	}
+	for i := 0; i < n; i++ {
+		s.match[i] = -1
+		s.parent[i] = -1
+		s.base[i] = i
+		s.next[i] = i
+	}
+	return s
 }
 
 // MaximumMatching computes a maximum cardinality matching of g using Edmonds'
@@ -76,22 +133,6 @@ func MaximumMatching(g *Graph, rnd *rng.Source) Matching {
 // possible matching without sacrificing its high-bandwidth pairs.
 func AugmentToMaximum(g *Graph, initial Matching, rnd *rng.Source) Matching {
 	n := g.N
-	s := &blossomSolver{
-		g:       g,
-		match:   make([]int, n),
-		parent:  make([]int, n),
-		base:    make([]int, n),
-		used:    make([]bool, n),
-		inPath:  make([]bool, n),
-		lcaMark: make([]bool, n),
-	}
-	for i := range s.match {
-		s.match[i] = -1
-	}
-	if initial != nil {
-		copy(s.match, initial)
-	}
-
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -100,18 +141,27 @@ func AugmentToMaximum(g *Graph, initial Matching, rnd *rng.Source) Matching {
 	if rnd != nil {
 		rnd.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		// Copy-and-shuffle adjacency so neighbor exploration order (and hence
-		// tie-breaking among equal-cardinality matchings) is randomized.
+		// tie-breaking among equal-cardinality matchings) is randomized. The
+		// copies share one backing array.
+		total := 0
+		for _, a := range g.adj {
+			total += len(a)
+		}
+		flat := make([]int, total)
 		adj = make([][]int, n)
-		for v := range adj {
-			a := make([]int, len(g.adj[v]))
-			copy(a, g.adj[v])
-			rnd.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-			adj[v] = a
+		for v, a := range g.adj {
+			sh := flat[:len(a):len(a)]
+			flat = flat[len(a):]
+			copy(sh, a)
+			rnd.Shuffle(len(sh), func(i, j int) { sh[i], sh[j] = sh[j], sh[i] })
+			adj[v] = sh
 		}
 	}
-	sg := &Graph{N: n, adj: adj, has: g.has}
-	s.g = sg
 
+	s := newBlossomSolver(adj)
+	if initial != nil {
+		copy(s.match, initial)
+	}
 	for _, v := range order {
 		if s.match[v] == -1 {
 			if end := s.findPath(v); end != -1 {
@@ -122,15 +172,20 @@ func AugmentToMaximum(g *Graph, initial Matching, rnd *rng.Source) Matching {
 	return Matching(s.match)
 }
 
+// touch records that v's state is about to leave the reset state.
+func (s *blossomSolver) touch(v int) {
+	if !s.dirty[v] {
+		s.dirty[v] = true
+		s.touched = append(s.touched, v)
+	}
+}
+
 // lca finds the lowest common ancestor of a and b in the alternating forest,
 // walking via blossom bases.
 func (s *blossomSolver) lca(a, b int) int {
-	for i := range s.lcaMark {
-		s.lcaMark[i] = false
-	}
 	for {
 		a = s.base[a]
-		s.lcaMark[a] = true
+		s.lcaMark[a] = s.epoch
 		if s.match[a] == -1 {
 			break
 		}
@@ -138,10 +193,18 @@ func (s *blossomSolver) lca(a, b int) int {
 	}
 	for {
 		b = s.base[b]
-		if s.lcaMark[b] {
+		if s.lcaMark[b] == s.epoch {
 			return b
 		}
 		b = s.parent[s.match[b]]
+	}
+}
+
+// mark stamps base b as on the current blossom's cycle, once.
+func (s *blossomSolver) mark(b int) {
+	if s.inPath[b] != s.epoch {
+		s.inPath[b] = s.epoch
+		s.marked = append(s.marked, b)
 	}
 }
 
@@ -149,55 +212,78 @@ func (s *blossomSolver) lca(a, b int) int {
 // rewires parents through child so the contracted blossom stays traversable.
 func (s *blossomSolver) markPath(v, b, child int) {
 	for s.base[v] != b {
-		s.inPath[s.base[v]] = true
-		s.inPath[s.base[s.match[v]]] = true
+		s.mark(s.base[v])
+		s.mark(s.base[s.match[v]])
+		s.touch(v)
 		s.parent[v] = child
 		child = s.match[v]
 		v = s.parent[s.match[v]]
 	}
 }
 
+// contract folds the odd cycle closed by the edge (v, to) into the blossom
+// based at their LCA: the members of every marked base are relabeled and
+// spliced into the LCA's member list, and those not yet even join the queue
+// in ascending index.
+func (s *blossomSolver) contract(v, to int) {
+	s.epoch++
+	curBase := s.lca(v, to)
+	s.marked = s.marked[:0]
+	s.markPath(v, curBase, to)
+	s.markPath(to, curBase, v)
+	s.fresh = s.fresh[:0]
+	s.touch(curBase) // its member list grows
+	for _, b := range s.marked {
+		for i := b; ; {
+			s.touch(i)
+			s.base[i] = curBase
+			if !s.used[i] {
+				s.used[i] = true
+				s.fresh = append(s.fresh, i)
+			}
+			if i = s.next[i]; i == b {
+				break
+			}
+		}
+		if b != curBase {
+			s.next[b], s.next[curBase] = s.next[curBase], s.next[b]
+		}
+	}
+	slices.Sort(s.fresh)
+	s.queue = append(s.queue, s.fresh...)
+}
+
 // findPath grows a BFS alternating tree from root and returns the free vertex
 // terminating an augmenting path, or -1 if none exists.
 func (s *blossomSolver) findPath(root int) int {
-	n := s.g.N
-	for i := 0; i < n; i++ {
-		s.used[i] = false
-		s.parent[i] = -1
-		s.base[i] = i
+	// Return the previous search's vertices to the reset state.
+	for _, v := range s.touched {
+		s.used[v] = false
+		s.dirty[v] = false
+		s.parent[v] = -1
+		s.base[v] = v
+		s.next[v] = v
 	}
+	s.touched = s.touched[:0]
+	s.touch(root)
 	s.used[root] = true
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, root)
+	s.queue = append(s.queue[:0], root)
 
 	for qi := 0; qi < len(s.queue); qi++ {
 		v := s.queue[qi]
-		for _, to := range s.g.adj[v] {
+		for _, to := range s.adj[v] {
 			if s.base[v] == s.base[to] || s.match[v] == to {
 				continue
 			}
 			if to == root || (s.match[to] != -1 && s.parent[s.match[to]] != -1) {
-				// Odd cycle: contract the blossom rooted at the LCA.
-				curBase := s.lca(v, to)
-				for i := 0; i < n; i++ {
-					s.inPath[i] = false
-				}
-				s.markPath(v, curBase, to)
-				s.markPath(to, curBase, v)
-				for i := 0; i < n; i++ {
-					if s.inPath[s.base[i]] {
-						s.base[i] = curBase
-						if !s.used[i] {
-							s.used[i] = true
-							s.queue = append(s.queue, i)
-						}
-					}
-				}
+				s.contract(v, to)
 			} else if s.parent[to] == -1 {
+				s.touch(to)
 				s.parent[to] = v
 				if s.match[to] == -1 {
 					return to
 				}
+				s.touch(s.match[to])
 				s.used[s.match[to]] = true
 				s.queue = append(s.queue, s.match[to])
 			}

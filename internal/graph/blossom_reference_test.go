@@ -1,0 +1,164 @@
+package graph
+
+import "sapspsgd/internal/rng"
+
+// referenceBlossomSolver is the straightforward O(V)-reset formulation of
+// Edmonds' algorithm that blossomSolver replaced: every search clears all
+// per-vertex state and every contraction scans all N vertices. It is kept
+// as a test oracle only — blossomSolver must reproduce its matchings
+// element for element (blossom_oracle_test.go).
+type referenceBlossomSolver struct {
+	g       *Graph
+	match   []int
+	parent  []int
+	base    []int
+	queue   []int
+	used    []bool
+	inPath  []bool
+	lcaMark []bool
+}
+
+// referenceAugmentToMaximum is AugmentToMaximum computed by the reference
+// solver, drawing from rnd in the same order.
+func referenceAugmentToMaximum(g *Graph, initial Matching, rnd *rng.Source) Matching {
+	n := g.N
+	s := &referenceBlossomSolver{
+		g:       g,
+		match:   make([]int, n),
+		parent:  make([]int, n),
+		base:    make([]int, n),
+		used:    make([]bool, n),
+		inPath:  make([]bool, n),
+		lcaMark: make([]bool, n),
+	}
+	for i := range s.match {
+		s.match[i] = -1
+	}
+	if initial != nil {
+		copy(s.match, initial)
+	}
+
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	adj := g.adj
+	if rnd != nil {
+		rnd.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		// Copy-and-shuffle adjacency so neighbor exploration order (and hence
+		// tie-breaking among equal-cardinality matchings) is randomized.
+		adj = make([][]int, n)
+		for v := range adj {
+			a := make([]int, len(g.adj[v]))
+			copy(a, g.adj[v])
+			rnd.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+			adj[v] = a
+		}
+	}
+	sg := &Graph{N: n, adj: adj, has: g.has}
+	s.g = sg
+
+	for _, v := range order {
+		if s.match[v] == -1 {
+			if end := s.findPath(v); end != -1 {
+				s.augment(end)
+			}
+		}
+	}
+	return Matching(s.match)
+}
+
+// lca finds the lowest common ancestor of a and b in the alternating forest,
+// walking via blossom bases.
+func (s *referenceBlossomSolver) lca(a, b int) int {
+	for i := range s.lcaMark {
+		s.lcaMark[i] = false
+	}
+	for {
+		a = s.base[a]
+		s.lcaMark[a] = true
+		if s.match[a] == -1 {
+			break
+		}
+		a = s.parent[s.match[a]]
+	}
+	for {
+		b = s.base[b]
+		if s.lcaMark[b] {
+			return b
+		}
+		b = s.parent[s.match[b]]
+	}
+}
+
+// markPath marks all blossom bases on the path from v down to base b and
+// rewires parents through child so the contracted blossom stays traversable.
+func (s *referenceBlossomSolver) markPath(v, b, child int) {
+	for s.base[v] != b {
+		s.inPath[s.base[v]] = true
+		s.inPath[s.base[s.match[v]]] = true
+		s.parent[v] = child
+		child = s.match[v]
+		v = s.parent[s.match[v]]
+	}
+}
+
+// findPath grows a BFS alternating tree from root and returns the free vertex
+// terminating an augmenting path, or -1 if none exists.
+func (s *referenceBlossomSolver) findPath(root int) int {
+	n := s.g.N
+	for i := 0; i < n; i++ {
+		s.used[i] = false
+		s.parent[i] = -1
+		s.base[i] = i
+	}
+	s.used[root] = true
+	s.queue = s.queue[:0]
+	s.queue = append(s.queue, root)
+
+	for qi := 0; qi < len(s.queue); qi++ {
+		v := s.queue[qi]
+		for _, to := range s.g.adj[v] {
+			if s.base[v] == s.base[to] || s.match[v] == to {
+				continue
+			}
+			if to == root || (s.match[to] != -1 && s.parent[s.match[to]] != -1) {
+				// Odd cycle: contract the blossom rooted at the LCA.
+				curBase := s.lca(v, to)
+				for i := 0; i < n; i++ {
+					s.inPath[i] = false
+				}
+				s.markPath(v, curBase, to)
+				s.markPath(to, curBase, v)
+				for i := 0; i < n; i++ {
+					if s.inPath[s.base[i]] {
+						s.base[i] = curBase
+						if !s.used[i] {
+							s.used[i] = true
+							s.queue = append(s.queue, i)
+						}
+					}
+				}
+			} else if s.parent[to] == -1 {
+				s.parent[to] = v
+				if s.match[to] == -1 {
+					return to
+				}
+				s.used[s.match[to]] = true
+				s.queue = append(s.queue, s.match[to])
+			}
+		}
+	}
+	return -1
+}
+
+// augment flips matched/unmatched edges along the found path ending at v.
+func (s *referenceBlossomSolver) augment(v int) {
+	for v != -1 {
+		pv := s.parent[v]
+		next := s.match[pv]
+		s.match[v] = pv
+		s.match[pv] = v
+		v = next
+	}
+}

@@ -71,13 +71,25 @@ func GreedyWeightedMatching(n int, edges []WeightedEdge, rnd *rng.Source) Matchi
 
 // weightBucket maps a weight onto a coarse logarithmic scale (~25% bands):
 // weights in the same band count as equal for sorting, so their relative
-// order is randomized by the pre-shuffle.
+// order is randomized by the pre-shuffle. It is defined for every float64:
+// non-positive weights and NaN share the lowest bucket and +Inf has the top
+// one, so buckets span [minBucket, maxBucket] (about 6.5k values).
 func weightBucket(w float64) int {
-	if w <= 0 {
-		return math.MinInt32
+	switch {
+	case !(w > 0):
+		return minBucket
+	case math.IsInf(w, 1):
+		return maxBucket
 	}
-	return int(math.Floor(math.Log(w) / math.Log(1.25)))
+	return logBucket(w)
 }
+
+func logBucket(w float64) int { return int(math.Floor(math.Log(w) / math.Log(1.25))) }
+
+var (
+	minBucket = logBucket(math.SmallestNonzeroFloat64) - 1
+	maxBucket = logBucket(math.MaxFloat64) + 1
+)
 
 // BandwidthAwareMaximumMatching computes a maximum cardinality matching that
 // prefers high-weight edges: a greedy weighted matching seeds the solution,

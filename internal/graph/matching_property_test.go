@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -75,6 +76,29 @@ func TestWeightBucket(t *testing.T) {
 	}
 	if weightBucket(0) >= weightBucket(0.001) {
 		t.Fatal("sentinel bucket must sort below any positive weight")
+	}
+}
+
+func TestWeightBucketTotal(t *testing.T) {
+	// Every float64 has a bucket inside [minBucket, maxBucket]: NaN and the
+	// non-positive weights share the lowest, +Inf alone has the top one, and
+	// the finite positive range stays strictly between them.
+	low := []float64{math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, math.Copysign(0, -1), 0}
+	for _, w := range low {
+		if b := weightBucket(w); b != minBucket {
+			t.Errorf("weightBucket(%v) = %d, want the lowest bucket %d", w, b, minBucket)
+		}
+	}
+	if b := weightBucket(math.Inf(1)); b != maxBucket {
+		t.Errorf("weightBucket(+Inf) = %d, want the top bucket %d", b, maxBucket)
+	}
+	for _, w := range []float64{math.SmallestNonzeroFloat64, 1e-300, 1, 1e300, math.MaxFloat64} {
+		if b := weightBucket(w); b <= minBucket || b >= maxBucket {
+			t.Errorf("weightBucket(%v) = %d, outside (%d, %d)", w, b, minBucket, maxBucket)
+		}
+	}
+	if span := maxBucket - minBucket + 1; span > 7000 {
+		t.Errorf("bucket range spans %d values, want about 6.5k", span)
 	}
 }
 
