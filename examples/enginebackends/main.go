@@ -1,6 +1,6 @@
 // Engine backends: the same SAPS-PSGD configuration executed three times —
-// over the in-memory transport, the simulated-bandwidth transport, and a
-// real TCP cluster on loopback — by the one canonical engine round loop.
+// in memory, in memory with a simulated-bandwidth ledger, and as a real TCP
+// cluster on loopback — by the one canonical engine round loop.
 // The run prints each backend's final model checksum and per-round traffic,
 // which agree bit-for-bit and byte-for-byte (DESIGN.md §2).
 //
@@ -116,9 +116,9 @@ func main() {
 	fmt.Printf("%-14s checksum %.9f   traffic %6d B\n", "memtransport", checksum(memParams), memBytes)
 
 	hub, simLed := saps.NewSimTransport(env())
-	simParams, simBytes := runInProc("simtransport", hub, simLed)
+	simParams, simBytes := runInProc("mem+netsim", hub, simLed)
 	fmt.Printf("%-14s checksum %.9f   traffic %6d B   simulated comm time %.2fs\n",
-		"simtransport", checksum(simParams), simBytes, simLed.TotalTime())
+		"mem+netsim", checksum(simParams), simBytes, simLed.TotalTime())
 
 	tcpParams, tcpBytes := runTCP()
 	fmt.Printf("%-14s checksum %.9f   traffic %6d B\n", "tcptransport", checksum(tcpParams), tcpBytes)

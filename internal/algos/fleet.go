@@ -47,10 +47,10 @@ type FleetConfig struct {
 	LR      float64
 	Batch   int
 	Seed    uint64
-	// RuntimeShards selects the engine's sharded phased runtime (see
-	// engine.Options.Shards): ranks are partitioned into this many
-	// serially-executed shards running concurrently, with bit-identical
-	// trajectories at any shard count. 0 keeps the goroutine-per-node pool.
+	// RuntimeShards is the engine's shard count (see engine.Options.Shards):
+	// ranks are partitioned into this many serially-executed shards running
+	// concurrently, with bit-identical trajectories at any shard count. 0
+	// means GOMAXPROCS shards.
 	RuntimeShards int
 }
 
@@ -185,8 +185,8 @@ func (a *engineAlgo) Name() string { return a.name }
 // Models implements Algorithm.
 func (a *engineAlgo) Models() []*nn.Model { return a.models }
 
-// Close releases the engine's node pool (also reclaimed automatically when
-// the algorithm becomes unreachable).
+// Close releases the engine's shard goroutines (also reclaimed
+// automatically when the algorithm becomes unreachable).
 func (a *engineAlgo) Close() { a.eng.Close() }
 
 // Step implements Algorithm.

@@ -6,8 +6,7 @@ import "runtime"
 
 // registerEngineCleanup releases an un-Closed engine's runtime goroutines
 // when the engine becomes unreachable. On Go 1.24+ this is runtime.AddCleanup
-// on the stop handle, which the runtime goroutines deliberately do not
-// reference.
-func registerEngineCleanup(e *Engine, s *poolStop) {
-	runtime.AddCleanup(e, (*poolStop).shutdown, s)
+// on the shard runner, which deliberately holds no reference to the engine.
+func registerEngineCleanup(e *Engine, s *shardRunner) {
+	runtime.AddCleanup(e, (*shardRunner).stop, s)
 }

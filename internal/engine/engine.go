@@ -16,20 +16,21 @@
 //
 // The engine talks to the world only through two small interfaces:
 //
-//   - Transport: the peer-to-peer payload exchange (data plane);
+//   - PhasedTransport: one-way payload deposits between ranks (data plane);
 //   - Ledger: traffic and communication-time accounting (clock), charged
 //     from the bytes the codecs actually produced — never from analytic
 //     formulas.
 //
-// Three backends run the identical round logic:
+// Every pattern is one phase program, and every backend runs it unchanged:
 //
-//   - memtransport: in-process rendezvous, zero-time CountingLedger — the
+//   - memtransport: in-process FIFOs with a zero-time CountingLedger — the
 //     pure-algorithm backend behind the internal/algos simulations;
-//   - simtransport: the same rendezvous charged against a netsim bandwidth
-//     matrix (*netsim.Ledger satisfies Ledger), reproducing the paper's
-//     byte- and second-accurate simulation;
-//   - internal/transport: real TCP — WorkerClient runs WorkerRound over gob
-//     connections and CoordinatorServer runs Driver over its control conns.
+//   - the same in-process FIFOs charged against a netsim bandwidth matrix
+//     (*netsim.Ledger satisfies Ledger), reproducing the paper's byte- and
+//     second-accurate simulation;
+//   - internal/transport: real TCP — WorkerClient runs one rank's
+//     WorkerRound over per-payload gob connections and CoordinatorServer
+//     runs Driver over its control conns.
 //
 // See DESIGN.md §2 for the layering and for how to add a new algorithm or
 // backend.
@@ -41,22 +42,14 @@ import (
 	"sapspsgd/internal/core"
 )
 
-// Transport is a node's handle to the data plane: Exchange swaps one
-// payload with one peer and returns the peer's payload. Both endpoints of an
-// exchanging pair call Exchange with each other exactly once per meeting; a
-// pattern may meet the same pair several times per round (the exchanges pair
-// up in FIFO order per direction), and a one-way transfer passes nil as its
-// payload. Implementations must support concurrent calls from distinct
-// nodes. The payload slice is borrowed by the transport (and, in-process, by
-// the peer) until the round barrier, so callers must not mutate it until the
-// round completes.
-//
-// Liveness contract for custom backends: when one endpoint's Exchange fails,
-// the peer's Exchange must also return (with a payload or an error) rather
-// than block forever — the engine's round barrier waits for every node. TCP
-// satisfies this naturally (a dead endpoint breaks the peer's connection);
-// the in-process hub cannot fail between valid peers, and patterns reject
-// malformed plans before dispatch.
+// Transport is the type of Options.Transport. The engine's runtime drives
+// only its PhasedTransport extension (Send/Recv), and New panics without it.
+// Exchange is the older blocking form, kept for callers that wrap it: it
+// swaps one payload with one peer and returns the peer's payload; both
+// endpoints call it with each other once per meeting, meetings of the same
+// pair pair up in FIFO order per direction, and a one-way transfer passes
+// nil as its payload. Implementations must support concurrent calls from
+// distinct nodes.
 type Transport interface {
 	Exchange(round, self, peer int, payload []float64) ([]float64, error)
 }
@@ -136,7 +129,7 @@ type RoundStats struct {
 // traffic, using only each sender's own measurement (both endpoints compute
 // WireBytes over the same words, so the receiver's number is redundant).
 // reports is rank-indexed; entries for absent nodes are zero values. The
-// returned slice is freshly allocated; the in-process runtimes use a pooled
+// returned slice is freshly allocated; the in-process runtime uses a pooled
 // flowAgg instead so steady-state rounds do not allocate.
 func AggregateFlows(reports []NodeReport) []PairTraffic {
 	var agg flowAgg
@@ -144,7 +137,7 @@ func AggregateFlows(reports []NodeReport) []PairTraffic {
 }
 
 // flowAgg is the reusable flow aggregator behind AggregateFlows and the
-// in-process runtimes' per-round reports: the pair index map and the output
+// in-process runtime's per-round reports: the pair index map and the output
 // slice persist across rounds, so a steady-state aggregate performs no heap
 // allocations. Not safe for concurrent use; each runtime owns one.
 type flowAgg struct {

@@ -1,21 +1,19 @@
 // Engine tests: backend equivalence (the same SAPS config must produce
 // bit-identical model trajectories and identical per-round traffic totals
 // over the in-memory, simulated-bandwidth, and TCP backends) plus regression
-// coverage for the concurrent exchange pool, the rendezvous hub, the gate,
-// and the counting ledger. Run with -race to exercise the pool's memory
-// ordering (the CI workflow does).
+// coverage for the sharded runtime under many ranks per shard, the
+// in-process hub, and the counting ledger. Run with -race to exercise the
+// shards' memory ordering (the CI workflow does).
 package engine_test
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/engine/memtransport"
-	"sapspsgd/internal/engine/simtransport"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/rng"
@@ -128,20 +126,20 @@ func tcpRun(t *testing.T, spec transport.TaskSpec, n int) (roundBytes []int64, f
 
 // TestBackendEquivalence is the three-backend contract: identical model
 // trajectories (bit-for-bit) and identical per-round traffic totals over
-// memtransport, simtransport, and TCP.
+// memtransport, memtransport with a netsim ledger, and TCP.
 func TestBackendEquivalence(t *testing.T) {
 	const n, rounds = 4, 8
 	spec := testSpec(rounds)
 
 	memBytes, memTraj := inProcRun(t, spec, n, nil, memtransport.NewHub(n))
 
-	simHub, simLed := simtransport.New(testEnv(n))
-	simBytes, simTraj := inProcRun(t, spec, n, simLed, simHub)
+	simLed := netsim.NewLedger(testEnv(n))
+	simBytes, simTraj := inProcRun(t, spec, n, simLed, memtransport.NewHub(n))
 
 	tcpBytes, tcpFinal := tcpRun(t, spec, n)
 
 	// Per-round traffic totals must agree across all three backends.
-	for name, got := range map[string][]int64{"simtransport": simBytes, "tcptransport": tcpBytes} {
+	for name, got := range map[string][]int64{"mem+netsim": simBytes, "tcptransport": tcpBytes} {
 		if len(got) != len(memBytes) {
 			t.Fatalf("%s: %d rounds accounted, want %d", name, len(got), len(memBytes))
 		}
@@ -154,10 +152,10 @@ func TestBackendEquivalence(t *testing.T) {
 	// The simulated backend also accrues bandwidth-modelled time; the byte
 	// totals must still match the bandwidth-free accounting exactly.
 	if simLed.TotalTime() <= 0 {
-		t.Error("simtransport: no simulated communication time accrued")
+		t.Error("mem+netsim: no simulated communication time accrued")
 	}
 	if !simLed.ConservationOK() {
-		t.Error("simtransport: ledger conservation violated")
+		t.Error("mem+netsim: ledger conservation violated")
 	}
 
 	// mem vs sim: bit-identical trajectory, every worker, every round.
@@ -183,18 +181,18 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentExchangePool floods a bounded pool with many more
-// workers than compute slots: the gate must bound CPU concurrency while the
-// rendezvous exchanges proceed deadlock-free. Run with -race this is the
-// pool's memory-ordering regression test.
+// TestEngineConcurrentExchangePool runs many more workers than shards: each
+// shard serves eight ranks while the two shards' deposits and receives
+// proceed deadlock-free. Run with -race this is the sharded runtime's
+// memory-ordering regression test.
 func TestEngineConcurrentExchangePool(t *testing.T) {
 	const n, rounds = 16, 6
 	spec := testSpec(rounds)
 	workers := buildWorkers(t, spec, n)
 	eng := engine.New(engine.Options{
-		Workers:     workers,
-		Planner:     core.NewCoordinator(testEnv(n), coreConfig(spec, n)),
-		MaxParallel: 2, // far fewer slots than workers: exchanges must not hold them
+		Workers: workers,
+		Planner: core.NewCoordinator(testEnv(n), coreConfig(spec, n)),
+		Shards:  2, // far fewer shards than workers
 	})
 	defer eng.Close()
 	led := &engine.CountingLedger{}
@@ -293,40 +291,9 @@ func TestHubRejectsBadPeer(t *testing.T) {
 	}
 }
 
-// TestGateBoundsConcurrency verifies the pool's semaphore actually caps
-// concurrent holders.
-func TestGateBoundsConcurrency(t *testing.T) {
-	const limit, workers = 3, 20
-	gate := engine.NewGate(limit)
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 50; k++ {
-				gate.Acquire()
-				c := cur.Add(1)
-				for {
-					p := peak.Load()
-					if c <= p || peak.CompareAndSwap(p, c) {
-						break
-					}
-				}
-				cur.Add(-1)
-				gate.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > limit {
-		t.Fatalf("gate admitted %d concurrent holders, limit %d", p, limit)
-	}
-}
-
 // TestEngineRejectsMalformedPlan: asymmetric or out-of-range matchings must
 // error before dispatch — a one-sided assignment would otherwise leave a
-// worker blocked in the rendezvous and deadlock the barrier.
+// worker blocked in a Recv and deadlock the barrier.
 func TestEngineRejectsMalformedPlan(t *testing.T) {
 	const n = 4
 	spec := testSpec(1)

@@ -1,9 +1,8 @@
-// Package memtransport is the in-process engine backend: nodes swap their
-// encoded payloads through per-directed-pair rendezvous channels, with no
-// wire format and no time model. It is the backend behind every
-// internal/algos simulation; pair it with engine.CountingLedger for pure
-// traffic totals or with a *netsim.Ledger (via simtransport) for
-// bandwidth-accounted time.
+// Package memtransport is the in-process engine backend: nodes deposit their
+// encoded payloads in per-directed-pair FIFO channels, with no wire format
+// and no time model. It is the backend behind every internal/algos
+// simulation; pair it with engine.CountingLedger for pure traffic totals or
+// with a *netsim.Ledger for bandwidth-accounted time.
 package memtransport
 
 import (
@@ -28,16 +27,17 @@ const denseSlotLimit = 1 << 20
 // mutexes effectively uncontended at realistic shard counts.
 const slotStripes = 64
 
-// Hub pairs in-process nodes for payload swaps. Exchange deposits the
-// caller's payload in the self→peer slot and blocks until the peer→self
-// slot fills. Slots are FIFO per directed pair, so a pattern may meet the
-// same pair several times within a round (hub pull/push, collective
-// reduce+gather) as long as both endpoints issue their exchanges in the same
-// per-pair order — which every engine pattern guarantees by construction.
-// The engine's round barrier guarantees all slots are drained before the
-// next round starts. Payload slices are handed over by reference — the
-// channel send is the happens-before edge that makes the peer's read
-// race-free.
+// Hub carries in-process payloads between nodes. Send deposits a payload in
+// the self→peer slot and Recv drains the peer→self slot; Exchange is a
+// Send followed by a Recv. Slots are FIFO per directed pair, so a pattern
+// may meet the same pair several times within a round (the collective's
+// reduce and gather steps) as long as both endpoints issue their operations
+// in the same per-pair order — which every engine pattern guarantees by
+// construction. The engine's round barrier guarantees all slots are drained
+// before the next round starts. Payload slices are handed over by reference
+// — the channel send is the happens-before edge that makes the peer's read
+// race-free — so a sender must not rewrite a deposited buffer until the
+// receiver is done with it.
 //
 // Slot lookup is lock-free for fleets up to 1024 nodes: the hub preallocates
 // a dense per-directed-pair pointer array and materializes each pair's
@@ -81,12 +81,10 @@ func NewHub(n int) *Hub {
 }
 
 // slot returns (lazily creating) the from→to channel. A small buffer keeps a
-// sender from blocking on its own deposit. The blocking Exchange path never
-// has more than one message per directed pair outstanding (a pattern's next
-// meeting with the same pair starts only after the previous rendezvous
-// completed on both sides); the phased Send/Recv path can briefly hold two —
-// the sharded collective deposits its next butterfly chunk while the peer is
-// still draining the previous phase's — so the capacity is 2.
+// sender from blocking on its own deposit. Under the sharded runtime a
+// directed pair briefly holds at most two messages — the collective
+// deposits its next butterfly chunk while the peer is still draining the
+// previous phase's — so the capacity is 2.
 func (h *Hub) slot(from, to int) chan []float64 {
 	if h.dense != nil {
 		p := &h.dense[from*h.n+to]
@@ -156,10 +154,11 @@ func (h *Hub) Send(round, self, peer int, payload []float64) error {
 }
 
 // Recv implements engine.PhasedTransport: take the oldest payload from the
-// peer→self FIFO. Under the sharded runtime a Recv only ever consumes a
-// deposit made in a strictly earlier (barrier-separated) phase, so it never
-// blocks; a Recv with nothing deposited would indicate a malformed phase
-// program and would deadlock — which the engine's tests would catch.
+// peer→self FIFO, blocking until the peer deposits it. The wait is real:
+// when the sharded runtime fuses phases a Recv may run before the peer's
+// Send, and the FIFO is then the only synchronization. A Recv whose deposit
+// never comes would indicate a malformed phase program and would deadlock —
+// which the engine's tests would catch.
 func (h *Hub) Recv(round, self, peer int) ([]float64, error) {
 	if err := h.check(self, peer); err != nil {
 		return nil, err

@@ -10,32 +10,37 @@ import (
 
 // Pattern is a round's communication shape: who a node talks to and in what
 // order, independent of what travels (the Codec) and of how it travels (the
-// Transport). RunRound executes one node's complete round — local compute,
-// encoded exchanges, merge — so each pattern owns its choreography (the hub
-// pattern, for instance, delivers the downlink before the worker computes).
+// transport). Each pattern writes its round exactly once, as a phase
+// program: PhaseCount phases, with RunPhase executing one rank's slice of
+// one phase — local compute, encode, Send, Recv, decode, merge — so each
+// pattern owns its choreography (the hub pattern, for instance, delivers the
+// downlink before the worker computes).
 //
-// Liveness: the pairwise, neighborhood, hub, and all-gather patterns order
-// their blocking exchanges by ascending peer rank, which is deadlock-free
-// with rendezvous transports — a cyclic wait a₁→a₂→…→a₁ would need every
-// aᵢ₊₁ to be held at a strictly earlier (lower-ranked) edge than
-// (aᵢ, aᵢ₊₁), forcing an infinite descent of ranks around a finite cycle.
-// The collective butterfly instead visits partners in the fixed self^mask
-// phase sequence (not ascending); it is deadlock-free because every phase is
-// a perfect matching executed by all nodes in the same order, and a node
-// reaches phase p with a partner only after both completed phase p-1, so
-// per-pair meetings pair up FIFO. New patterns must pick one of these two
-// disciplines (or prove their own).
+// The phase contract: within a phase a rank may compute, encode, decode,
+// merge, and Send; every Recv must consume a deposit its peer made in a
+// strictly earlier phase of the same round. The in-process sharded runtime
+// runs each phase over all ranks before the next one (or fuses phases, see
+// PhaseFuser); a TCP worker runs its own rank's phases in order
+// (WorkerRound). Either way a Recv in phase p waits only on a Send issued
+// before phase p, so by induction on p every rank completes every phase: a
+// conforming program cannot deadlock as long as Send never waits for the
+// receiver (see PhasedTransport). Each rank performs the same operations in
+// the same order under every runtime, which is what makes trajectories
+// bit-identical across runtimes and backends.
 type Pattern interface {
 	// Name identifies the pattern family ("pairwise", "hub", ...).
 	Name() string
 	// Validate rejects malformed plans before dispatch. This matters for
 	// liveness, not just correctness: a malformed plan can leave a node
-	// blocked in a rendezvous with nobody coming.
+	// blocked in a Recv with nobody sending.
 	Validate(plan core.RoundPlan, n int) error
-	// RunRound executes one node's full round over the transport. gate
-	// bounds the CPU-heavy sections (compute, encode, decode, merge) and is
-	// released around blocking exchanges.
-	RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error)
+	// PhaseCount returns the number of phases one round needs over n
+	// nodes under plan.
+	PhaseCount(plan core.RoundPlan, n int) int
+	// RunPhase executes rank ctx.Self's slice of phase p. st is the rank's
+	// private in-flight state, zero or reset at round start. Runtimes
+	// never call RunPhase for a rank the plan marks inactive.
+	RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error
 }
 
 // ---------------------------------------------------------------------------
@@ -74,49 +79,58 @@ func (Pairwise) Validate(plan core.RoundPlan, n int) error {
 	return nil
 }
 
-// RunRound implements Pattern.
-func (Pairwise) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
+// PhaseCount implements Pattern: encode+send, then recv+merge.
+func (Pairwise) PhaseCount(core.RoundPlan, int) int { return 2 }
+
+// PhaseDeps implements PhaseFuser: the two phases fuse. A rank's payload is
+// immutable from its Send until the round barrier (the codec re-encodes only
+// next round), so the only cross-rank dependency is the deposit itself and
+// the FIFO orders it.
+func (Pairwise) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
+	return append(deps, false)
+}
+
+// RunPhase implements Pattern.
+func (Pairwise) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
 	peer := -1
 	if ctx.Self < len(ctx.Plan.Peer) {
 		peer = ctx.Plan.Peer[ctx.Self]
 	}
-	if peer < 0 {
-		gate.Release()
-		return rep, nil
+	switch p {
+	case 0:
+		loss, out, err := node.Compute(ctx)
+		if err != nil {
+			return err
+		}
+		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		if peer < 0 {
+			st.skip = true
+			return nil
+		}
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
+		if err != nil {
+			return err
+		}
+		st.sent = codecs[ctx.Self].WireBytes(words)
+		st.Rep.PayloadLen = len(words)
+		return tr.Send(ctx.Round, ctx.Self, peer, words)
+	case 1:
+		if st.skip {
+			return nil
+		}
+		peerWords, err := tr.Recv(ctx.Round, ctx.Self, peer)
+		if err != nil {
+			return err
+		}
+		vals, err := st.decodeScratch(codecs[peer], ctx, peerWords)
+		if err != nil {
+			return err
+		}
+		recv := codecs[peer].WireBytes(peerWords)
+		st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: peer, Sent: st.sent, Recv: recv})
+		return st.mergeOne(ctx, node, PeerMsg{From: peer, Vals: vals, Words: peerWords, Bytes: recv})
 	}
-	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	sent := codecs[ctx.Self].WireBytes(words)
-	rep.PayloadLen = len(words)
-	gate.Release()
-
-	peerWords, err := tr.Exchange(ctx.Round, ctx.Self, peer, words)
-	if err != nil {
-		return NodeReport{}, err
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	vals, err := decodeTimed(codecs[peer], ctx, peerWords)
-	if err != nil {
-		return NodeReport{}, err
-	}
-	recv := codecs[peer].WireBytes(peerWords)
-	rep.Flows = append(rep.Flows, Flow{Peer: peer, Sent: sent, Recv: recv})
-	if err := node.Merge(ctx, []PeerMsg{{From: peer, Vals: vals, Words: peerWords, Bytes: recv}}); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -147,7 +161,8 @@ func NewNeighborhood(adj [][]int, includeSelf bool) *Neighborhood {
 			}
 		}
 	}
-	// Symmetry: gossip is bidirectional; a one-sided edge would deadlock.
+	// Symmetry: gossip is bidirectional; a one-sided edge would leave a
+	// receiver waiting for a payload nobody sends.
 	for i, ns := range p.adj {
 		for _, j := range ns {
 			if !contains(p.adj[j], i) {
@@ -179,62 +194,69 @@ func (p *Neighborhood) Validate(plan core.RoundPlan, n int) error {
 	return requireAllActive(plan, n, "neighborhood")
 }
 
-// RunRound implements Pattern.
-func (p *Neighborhood) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
+// PhaseCount implements Pattern: broadcast, then gather+merge.
+func (p *Neighborhood) PhaseCount(core.RoundPlan, int) int { return 2 }
+
+// PhaseDeps implements PhaseFuser: broadcast payloads are immutable after
+// their sends, so gather fuses onto broadcast and synchronizes on the FIFOs.
+func (p *Neighborhood) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
+	return append(deps, false)
+}
+
+// RunPhase implements Pattern.
+func (p *Neighborhood) RunPhase(ctx RoundContext, phase int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
 	peers := p.adj[ctx.Self]
-	if len(peers) == 0 {
-		gate.Release()
-		return rep, nil
-	}
-	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	sent := codecs[ctx.Self].WireBytes(words)
-	rep.PayloadLen = len(words)
-	msgs := make([]PeerMsg, 0, len(peers)+1)
-	if p.includeSelf {
-		vals, err := decodeTimed(codecs[ctx.Self], ctx, words)
+	switch phase {
+	case 0:
+		loss, out, err := node.Compute(ctx)
 		if err != nil {
-			gate.Release()
-			return NodeReport{}, err
+			return err
 		}
-		msgs = append(msgs, PeerMsg{From: ctx.Self, Vals: vals, Words: words, Bytes: sent})
-	}
-	gate.Release()
-
-	recvWords := make([][]float64, len(peers))
-	for i, q := range peers {
-		w, err := tr.Exchange(ctx.Round, ctx.Self, q, words)
+		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		if len(peers) == 0 {
+			st.skip = true
+			return nil
+		}
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
 		if err != nil {
-			return NodeReport{}, err
+			return err
 		}
-		recvWords[i] = w
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	for i, q := range peers {
-		vals, err := decodeTimed(codecs[q], ctx, recvWords[i])
-		if err != nil {
-			return NodeReport{}, err
+		st.sent = codecs[ctx.Self].WireBytes(words)
+		st.Rep.PayloadLen = len(words)
+		st.msgs = st.msgs[:0]
+		if p.includeSelf {
+			vals, err := st.decodeMsg(codecs[ctx.Self], ctx, words)
+			if err != nil {
+				return err
+			}
+			st.msgs = append(st.msgs, PeerMsg{From: ctx.Self, Vals: vals, Words: words, Bytes: st.sent})
 		}
-		b := codecs[q].WireBytes(recvWords[i])
-		rep.Flows = append(rep.Flows, Flow{Peer: q, Sent: sent, Recv: b})
-		msgs = append(msgs, PeerMsg{From: q, Vals: vals, Words: recvWords[i], Bytes: b})
+		for _, q := range peers {
+			if err := tr.Send(ctx.Round, ctx.Self, q, words); err != nil {
+				return err
+			}
+		}
+		return nil
+	case 1:
+		if st.skip {
+			return nil
+		}
+		for _, q := range peers {
+			w, err := tr.Recv(ctx.Round, ctx.Self, q)
+			if err != nil {
+				return err
+			}
+			vals, err := st.decodeMsg(codecs[q], ctx, w)
+			if err != nil {
+				return err
+			}
+			b := codecs[q].WireBytes(w)
+			st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: b})
+			st.msgs = append(st.msgs, PeerMsg{From: q, Vals: vals, Words: w, Bytes: b})
+		}
+		return node.Merge(ctx, st.msgs)
 	}
-	if err := node.Merge(ctx, msgs); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -274,13 +296,8 @@ func (h Hub) Validate(plan core.RoundPlan, n int) error {
 	return nil
 }
 
-// chosen returns the round's participating worker ranks, ascending.
-func (h Hub) chosen(plan core.RoundPlan, n int) []int {
-	return h.chosenInto(make([]int, 0, n-1), plan, n)
-}
-
-// chosenInto appends the participating worker ranks to dst in ascending
-// order — the pooled form the phased hot path uses.
+// chosenInto appends the round's participating worker ranks to dst in
+// ascending order.
 func (h Hub) chosenInto(dst []int, plan core.RoundPlan, n int) []int {
 	for i := 0; i < n; i++ {
 		if i == h.Server {
@@ -293,107 +310,100 @@ func (h Hub) chosenInto(dst []int, plan core.RoundPlan, n int) []int {
 	return dst
 }
 
-// RunRound implements Pattern.
-func (h Hub) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
+// PhaseCount implements Pattern: server downlink; worker pull-train-push;
+// server uplink merge.
+func (Hub) PhaseCount(core.RoundPlan, int) int { return 3 }
+
+// PhaseRanks implements PhaseParticipants: the downlink and uplink phases
+// touch only the server's rank, so worker shards are dispatched for the
+// middle phase alone (and hand their reports over as soon as it completes).
+func (h Hub) PhaseRanks(_ core.RoundPlan, n int, phase int) (int, int) {
+	if phase == 1 {
+		return 0, n
+	}
+	return h.Server, h.Server + 1
+}
+
+// RunPhase implements Pattern. Runtimes never call RunPhase for an inactive
+// rank, so a worker reaching here is always chosen.
+func (h Hub) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
 	if ctx.Self == h.Server {
-		return h.serverRound(ctx, node, codecs, tr, gate)
+		return h.serverPhase(ctx, p, node, codecs, tr, st)
 	}
-	return h.workerRound(ctx, node, codecs, tr, gate)
+	return h.workerPhase(ctx, p, node, codecs, tr, st)
 }
 
-func (h Hub) serverRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
-	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	down := codecs[ctx.Self].WireBytes(words)
-	rep.PayloadLen = len(words)
-	gate.Release()
-
-	chosen := h.chosen(ctx.Plan, ctx.N)
-	// Downlink: broadcast the model; each exchange also drains the worker's
-	// empty down-phase payload, keeping the per-pair rendezvous in lockstep.
-	for _, w := range chosen {
-		if _, err := tr.Exchange(ctx.Round, ctx.Self, w, words); err != nil {
-			return NodeReport{}, err
-		}
-	}
-	// Uplink: collect every chosen worker's payload.
-	ups := make([][]float64, len(chosen))
-	for i, w := range chosen {
-		uw, err := tr.Exchange(ctx.Round, ctx.Self, w, nil)
+func (h Hub) serverPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+	switch p {
+	case 0:
+		loss, out, err := node.Compute(ctx)
 		if err != nil {
-			return NodeReport{}, err
+			return err
 		}
-		ups[i] = uw
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	msgs := make([]PeerMsg, 0, len(chosen))
-	for i, w := range chosen {
-		vals, err := decodeTimed(codecs[w], ctx, ups[i])
+		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
 		if err != nil {
-			return NodeReport{}, err
+			return err
 		}
-		b := codecs[w].WireBytes(ups[i])
-		rep.Flows = append(rep.Flows, Flow{Peer: w, Sent: down, Recv: b})
-		msgs = append(msgs, PeerMsg{From: w, Vals: vals, Words: ups[i], Bytes: b})
+		st.sent = codecs[ctx.Self].WireBytes(words) // downlink bytes
+		st.Rep.PayloadLen = len(words)
+		st.peers = h.chosenInto(st.peers[:0], ctx.Plan, ctx.N)
+		for _, w := range st.peers {
+			if err := tr.Send(ctx.Round, ctx.Self, w, words); err != nil {
+				return err
+			}
+		}
+		return nil
+	case 2:
+		st.peers = h.chosenInto(st.peers[:0], ctx.Plan, ctx.N)
+		st.msgs = st.msgs[:0]
+		for _, w := range st.peers {
+			uw, err := tr.Recv(ctx.Round, ctx.Self, w)
+			if err != nil {
+				return err
+			}
+			vals, err := st.decodeMsg(codecs[w], ctx, uw)
+			if err != nil {
+				return err
+			}
+			b := codecs[w].WireBytes(uw)
+			st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: w, Sent: st.sent, Recv: b})
+			st.msgs = append(st.msgs, PeerMsg{From: w, Vals: vals, Words: uw, Bytes: b})
+		}
+		return node.Merge(ctx, st.msgs)
 	}
-	if err := node.Merge(ctx, msgs); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
+	return nil
 }
 
-func (h Hub) workerRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	// Pull: the empty payload keeps the rendezvous symmetric; the reply is
-	// the server's encoded model.
-	downWords, err := tr.Exchange(ctx.Round, ctx.Self, h.Server, nil)
-	if err != nil {
-		return NodeReport{}, err
+func (h Hub) workerPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+	if p != 1 {
+		return nil
 	}
-
-	gate.Acquire()
-	vals, err := decodeTimed(codecs[h.Server], ctx, downWords)
+	downWords, err := tr.Recv(ctx.Round, ctx.Self, h.Server)
 	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
+		return err
+	}
+	vals, err := st.decodeScratch(codecs[h.Server], ctx, downWords)
+	if err != nil {
+		return err
 	}
 	down := codecs[h.Server].WireBytes(downWords)
-	if err := node.Merge(ctx, []PeerMsg{{From: h.Server, Vals: vals, Words: downWords, Bytes: down}}); err != nil {
-		gate.Release()
-		return NodeReport{}, err
+	if err := st.mergeOne(ctx, node, PeerMsg{From: h.Server, Vals: vals, Words: downWords, Bytes: down}); err != nil {
+		return err
 	}
 	loss, out, err := node.Compute(ctx)
 	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
+		return err
 	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
+	st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
 	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
 	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
+		return err
 	}
 	up := codecs[ctx.Self].WireBytes(words)
-	rep.PayloadLen = len(words)
-	rep.Flows = append(rep.Flows, Flow{Peer: h.Server, Sent: up, Recv: down})
-	gate.Release()
-
-	// Push: the server's reply is its empty up-phase payload.
-	if _, err := tr.Exchange(ctx.Round, ctx.Self, h.Server, words); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
+	st.Rep.PayloadLen = len(words)
+	st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: h.Server, Sent: up, Recv: down})
+	return tr.Send(ctx.Round, ctx.Self, h.Server, words)
 }
 
 // ---------------------------------------------------------------------------
@@ -405,10 +415,10 @@ func (h Hub) workerRound(ctx RoundContext, node Node, codecs []Codec, tr Transpo
 // halving/doubling (reduce-scatter + all-gather), the butterfly equivalent
 // of the classic ring all-reduce: every node sends and receives exactly
 // 2·D·(n-1)/n values, matching Table I's ring cost, with every transfer a
-// pairwise swap the Transport can carry. Other fleet sizes fall back to a
-// complete all-gather (everyone swaps full vectors with everyone, n-1
-// transfers of D values each), which is exact but costlier — callers wanting
-// the bandwidth-optimal path should size fleets to powers of two.
+// pairwise swap. Other fleet sizes fall back to a complete all-gather
+// (everyone sends its full vector to everyone, n-1 transfers of D values
+// each), which is exact but costlier — callers wanting the
+// bandwidth-optimal path should size fleets to powers of two.
 type Collective struct{}
 
 // Name implements Pattern.
@@ -419,41 +429,53 @@ func (Collective) Validate(plan core.RoundPlan, n int) error {
 	return requireAllActive(plan, n, "collective")
 }
 
-// RunRound implements Pattern.
-func (Collective) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
+// PhaseCount implements Pattern. Power-of-two fleets run the butterfly
+// (2·log₂n exchange steps, each split across adjacent phases: the deposit in
+// phase p, the matching receive in phase p+1), other sizes the two-phase
+// exact all-gather, and a single node trains and merges in one phase.
+// Collective deliberately does not implement PhaseFuser: the butterfly
+// rewrites its parity-indexed chunk buffers phase over phase, so every
+// barrier is load-bearing (see PhaseState.wbufs).
+func (Collective) PhaseCount(_ core.RoundPlan, n int) int {
+	if n <= 1 {
+		return 1
 	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss), PayloadLen: len(out)}
-	sum := append([]float64(nil), out...)
-	gate.Release()
+	if n&(n-1) == 0 {
+		q := bits.Len(uint(n)) - 1
+		return 2*q + 1
+	}
+	return 2
+}
 
-	if ctx.N > 1 {
-		if ctx.N&(ctx.N-1) == 0 {
-			err = halvingDoubling(ctx, codecs, tr, gate, sum, &rep)
-		} else {
-			gate.Acquire()
-			words, encErr := encodeTimed(codecs[ctx.Self], ctx, out)
-			gate.Release()
-			if encErr != nil {
-				return NodeReport{}, encErr
-			}
-			err = sumAllGather(ctx, codecs, tr, gate, words, sum, &rep)
-		}
+// RunPhase implements Pattern.
+func (c Collective) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+	if ctx.N > 1 && ctx.N&(ctx.N-1) == 0 {
+		return c.butterflyPhase(ctx, p, node, codecs, tr, st)
+	}
+	switch p {
+	case 0:
+		loss, out, err := node.Compute(ctx)
 		if err != nil {
-			return NodeReport{}, err
+			return err
 		}
+		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(out)
+		st.vec = append(st.vec[:0], out...)
+		if ctx.N == 1 {
+			return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
+		}
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
+		if err != nil {
+			return err
+		}
+		st.sent = codecs[ctx.Self].WireBytes(words)
+		return phaseSendAll(ctx, tr, words)
+	case 1:
+		if err := phaseRecvSumAll(ctx, codecs, tr, st, st.vec); err != nil {
+			return err
+		}
+		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
 	}
-
-	gate.Acquire()
-	defer gate.Release()
-	if err := node.Merge(ctx, []PeerMsg{{From: -1, Vals: sum}}); err != nil {
-		return NodeReport{}, err
-	}
-	return rep, nil
+	return nil
 }
 
 // segAfter returns the [lo, hi) segment of a D-length vector that rank owns
@@ -472,54 +494,45 @@ func segAfter(rank, depth, D, n int) (int, int) {
 	return lo, hi
 }
 
-// exchangeChunk encodes a copy of vec[lo:hi] with the node's own codec,
-// swaps it with partner, and returns the decoded reply. Copies are required:
-// the codec's scratch is reused across the collective's steps while the
-// transport still borrows earlier payloads.
-func exchangeChunk(ctx RoundContext, codecs []Codec, tr Transport, gate Gate, vec []float64, lo, hi, partner int, rep *NodeReport) ([]float64, error) {
-	gate.Acquire()
-	chunk := append([]float64(nil), vec[lo:hi]...)
-	words, err := encodeTimed(codecs[ctx.Self], ctx, chunk)
-	if err != nil {
-		gate.Release()
-		return nil, err
+// rsGeometry is reduce-scatter step k's exchange geometry given the owned
+// segment [lo, hi) before the step: each step halves the owned segment,
+// sending the discarded half to the partner and accumulating the kept half.
+func rsGeometry(self, n, k, lo, hi int) (partner, sendLo, sendHi, keepLo, keepHi int) {
+	mask := n >> (k + 1)
+	partner = self ^ mask
+	mid := lo + (hi-lo)/2
+	sendLo, sendHi, keepLo, keepHi = mid, hi, lo, mid
+	if self&mask != 0 {
+		sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
 	}
-	wcopy := append([]float64(nil), words...)
-	sent := codecs[ctx.Self].WireBytes(wcopy)
-	gate.Release()
-
-	pw, err := tr.Exchange(ctx.Round, ctx.Self, partner, wcopy)
-	if err != nil {
-		return nil, err
-	}
-
-	gate.Acquire()
-	defer gate.Release()
-	vals, err := decodeTimed(codecs[partner], ctx, pw)
-	if err != nil {
-		return nil, err
-	}
-	rep.Flows = append(rep.Flows, Flow{Peer: partner, Sent: sent, Recv: codecs[partner].WireBytes(pw)})
-	return vals, nil
+	return
 }
 
-// halvingDoubling is the power-of-two exact all-reduce; vec is reduced in
-// place to the global sum.
-func halvingDoubling(ctx RoundContext, codecs []Codec, tr Transport, gate Gate, vec []float64, rep *NodeReport) error {
-	self, n, D := ctx.Self, ctx.N, len(vec)
+// butterflyPhase is the power-of-two halving/doubling all-reduce split into
+// 2q+1 phases: phase 0 computes and deposits reduce-scatter step 0; phase
+// p ∈ [1, q] drains step p-1, accumulates, and deposits the next step (the
+// first all-gather chunk at p == q); phase q+g drains gather step g-1 and
+// deposits step g; phase 2q drains the last chunk and merges the sum.
+func (Collective) butterflyPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+	self, n := ctx.Self, ctx.N
 	q := bits.Len(uint(n)) - 1
-	// Reduce-scatter: each step halves the owned segment, swapping the
-	// discarded half with the partner and accumulating the kept half.
-	lo, hi := 0, D
-	for k := 0; k < q; k++ {
-		mask := n >> (k + 1)
-		partner := self ^ mask
-		mid := lo + (hi-lo)/2
-		sendLo, sendHi, keepLo, keepHi := mid, hi, lo, mid
-		if self&mask != 0 {
-			sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
+	if p == 0 {
+		loss, out, err := node.Compute(ctx)
+		if err != nil {
+			return err
 		}
-		vals, err := exchangeChunk(ctx, codecs, tr, gate, vec, sendLo, sendHi, partner, rep)
+		st.Rep.Loss, st.Rep.Trained, st.Rep.PayloadLen = loss, trained(loss), len(out)
+		st.vec = append(st.vec[:0], out...)
+		st.lo, st.hi = 0, len(st.vec)
+		partner, sendLo, sendHi, _, _ := rsGeometry(self, n, 0, st.lo, st.hi)
+		return st.sendChunk(ctx, codecs, tr, sendLo, sendHi, partner, p)
+	}
+	D := len(st.vec)
+	if p <= q {
+		// Drain reduce-scatter step p-1.
+		k := p - 1
+		partner, _, _, keepLo, keepHi := rsGeometry(self, n, k, st.lo, st.hi)
+		vals, err := st.recvChunk(ctx, codecs, tr, partner)
 		if err != nil {
 			return err
 		}
@@ -527,62 +540,38 @@ func halvingDoubling(ctx RoundContext, codecs []Codec, tr Transport, gate Gate, 
 			return fmt.Errorf("engine: collective chunk of %d values, want %d", len(vals), keepHi-keepLo)
 		}
 		for i, v := range vals {
-			vec[keepLo+i] += v
+			st.vec[keepLo+i] += v
 		}
-		lo, hi = keepLo, keepHi
+		st.lo, st.hi = keepLo, keepHi
+		if p < q {
+			// Deposit reduce-scatter step p.
+			partner, sendLo, sendHi, _, _ := rsGeometry(self, n, p, st.lo, st.hi)
+			return st.sendChunk(ctx, codecs, tr, sendLo, sendHi, partner, p)
+		}
+		// Deposit all-gather step 0.
+		partner = self ^ 1
+		myLo, myHi := segAfter(self, q, D, n)
+		return st.sendChunk(ctx, codecs, tr, myLo, myHi, partner, p)
 	}
-	// All-gather: mirror the halvings, swapping fully reduced segments.
-	for g := 0; g < q; g++ {
+	// Drain all-gather step g-1.
+	g := p - q
+	partner := self ^ (1 << (g - 1))
+	pLo, pHi := segAfter(partner, q-(g-1), D, n)
+	vals, err := st.recvChunk(ctx, codecs, tr, partner)
+	if err != nil {
+		return err
+	}
+	if len(vals) != pHi-pLo {
+		return fmt.Errorf("engine: collective gather chunk of %d values, want %d", len(vals), pHi-pLo)
+	}
+	copy(st.vec[pLo:pHi], vals)
+	if g < q {
+		// Deposit all-gather step g.
 		partner := self ^ (1 << g)
 		myLo, myHi := segAfter(self, q-g, D, n)
-		pLo, pHi := segAfter(partner, q-g, D, n)
-		vals, err := exchangeChunk(ctx, codecs, tr, gate, vec, myLo, myHi, partner, rep)
-		if err != nil {
-			return err
-		}
-		if len(vals) != pHi-pLo {
-			return fmt.Errorf("engine: collective gather chunk of %d values, want %d", len(vals), pHi-pLo)
-		}
-		copy(vec[pLo:pHi], vals)
+		return st.sendChunk(ctx, codecs, tr, myLo, myHi, partner, p)
 	}
-	return nil
-}
-
-// sumAllGather swaps one already-encoded payload with every other node and
-// sums the decoded replies into vec (which already holds the node's own
-// contribution). words must be encoded exactly once by the caller — encoding
-// here would advance stateful codecs (error feedback, RNG) twice per round.
-func sumAllGather(ctx RoundContext, codecs []Codec, tr Transport, gate Gate, words, vec []float64, rep *NodeReport) error {
-	sent := codecs[ctx.Self].WireBytes(words)
-	recvWords := make([][]float64, 0, ctx.N-1)
-	peers := make([]int, 0, ctx.N-1)
-	for p := 0; p < ctx.N; p++ {
-		if p == ctx.Self {
-			continue
-		}
-		pw, err := tr.Exchange(ctx.Round, ctx.Self, p, words)
-		if err != nil {
-			return err
-		}
-		peers = append(peers, p)
-		recvWords = append(recvWords, pw)
-	}
-	gate.Acquire()
-	defer gate.Release()
-	for i, p := range peers {
-		vals, err := decodeTimed(codecs[p], ctx, recvWords[i])
-		if err != nil {
-			return err
-		}
-		if len(vals) != len(vec) {
-			return fmt.Errorf("engine: all-gather payload of %d values, want %d", len(vals), len(vec))
-		}
-		rep.Flows = append(rep.Flows, Flow{Peer: p, Sent: sent, Recv: codecs[p].WireBytes(recvWords[i])})
-		for j, v := range vals {
-			vec[j] += v
-		}
-	}
-	return nil
+	return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
 }
 
 // ---------------------------------------------------------------------------
@@ -604,39 +593,90 @@ func (AllGather) Validate(plan core.RoundPlan, n int) error {
 	return requireAllActive(plan, n, "all-gather")
 }
 
-// RunRound implements Pattern.
-func (AllGather) RunRound(ctx RoundContext, node Node, codecs []Codec, tr Transport, gate Gate) (NodeReport, error) {
-	gate.Acquire()
-	loss, out, err := node.Compute(ctx)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep := NodeReport{Loss: loss, Trained: trained(loss)}
-	words, err := encodeTimed(codecs[ctx.Self], ctx, out)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	rep.PayloadLen = len(words)
-	own, err := decodeTimed(codecs[ctx.Self], ctx, words)
-	if err != nil {
-		gate.Release()
-		return NodeReport{}, err
-	}
-	sum := append([]float64(nil), own...)
-	gate.Release()
+// PhaseCount implements Pattern: broadcast, then gather+sum+merge.
+func (AllGather) PhaseCount(core.RoundPlan, int) int { return 2 }
 
-	if err := sumAllGather(ctx, codecs, tr, gate, words, sum, &rep); err != nil {
-		return NodeReport{}, err
-	}
+// PhaseDeps implements PhaseFuser: as with Neighborhood, the broadcast
+// payload is immutable after its sends, so the gather phase fuses.
+func (AllGather) PhaseDeps(_ core.RoundPlan, _ int, deps []bool) []bool {
+	return append(deps, false)
+}
 
-	gate.Acquire()
-	defer gate.Release()
-	if err := node.Merge(ctx, []PeerMsg{{From: -1, Vals: sum}}); err != nil {
-		return NodeReport{}, err
+// RunPhase implements Pattern.
+func (AllGather) RunPhase(ctx RoundContext, p int, node Node, codecs []Codec, tr PhasedTransport, st *PhaseState) error {
+	switch p {
+	case 0:
+		loss, out, err := node.Compute(ctx)
+		if err != nil {
+			return err
+		}
+		st.Rep.Loss, st.Rep.Trained = loss, trained(loss)
+		words, err := encodeTimed(codecs[ctx.Self], ctx, out)
+		if err != nil {
+			return err
+		}
+		st.Rep.PayloadLen = len(words)
+		own, err := st.decodeScratch(codecs[ctx.Self], ctx, words)
+		if err != nil {
+			return err
+		}
+		st.vec = append(st.vec[:0], own...)
+		st.sent = codecs[ctx.Self].WireBytes(words)
+		return phaseSendAll(ctx, tr, words)
+	case 1:
+		if err := phaseRecvSumAll(ctx, codecs, tr, st, st.vec); err != nil {
+			return err
+		}
+		return st.mergeOne(ctx, node, PeerMsg{From: -1, Vals: st.vec})
 	}
-	return rep, nil
+	return nil
+}
+
+// ---------------------------------------------------------------------------
+// Shared helpers
+
+// phaseSendAll deposits words to every other rank in ascending order — the
+// send half of the all-gather shared by AllGather and the non-power-of-two
+// Collective. words must be encoded exactly once by the caller: encoding per
+// peer would advance stateful codecs (error feedback, RNG) several times per
+// round.
+func phaseSendAll(ctx RoundContext, tr PhasedTransport, words []float64) error {
+	for q := 0; q < ctx.N; q++ {
+		if q == ctx.Self {
+			continue
+		}
+		if err := tr.Send(ctx.Round, ctx.Self, q, words); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// phaseRecvSumAll drains every other rank's deposit in ascending order,
+// decoding and accumulating into vec (which already holds the rank's own
+// contribution) — the receive half of the all-gather.
+func phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr PhasedTransport, st *PhaseState, vec []float64) error {
+	for q := 0; q < ctx.N; q++ {
+		if q == ctx.Self {
+			continue
+		}
+		pw, err := tr.Recv(ctx.Round, ctx.Self, q)
+		if err != nil {
+			return err
+		}
+		vals, err := st.decodeScratch(codecs[q], ctx, pw)
+		if err != nil {
+			return err
+		}
+		if len(vals) != len(vec) {
+			return fmt.Errorf("engine: all-gather payload of %d values, want %d", len(vals), len(vec))
+		}
+		st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: codecs[q].WireBytes(pw)})
+		for j, v := range vals {
+			vec[j] += v
+		}
+	}
+	return nil
 }
 
 // requireAllActive rejects plans with dynamic membership for patterns whose
@@ -655,3 +695,12 @@ func requireAllActive(plan core.RoundPlan, n int, pattern string) error {
 	}
 	return nil
 }
+
+// Compile-time checks: the barrier and dispatch elision extensions stay
+// wired to their patterns.
+var (
+	_ PhaseFuser        = Pairwise{}
+	_ PhaseFuser        = (*Neighborhood)(nil)
+	_ PhaseFuser        = AllGather{}
+	_ PhaseParticipants = Hub{}
+)

@@ -43,28 +43,35 @@ func runPattern(t *testing.T, pat engine.Pattern, outs [][]float64, codecs []eng
 		nodes[i] = &vecNode{out: outs[i]}
 		engNodes[i] = nodes[i]
 	}
+	return nodes, runPhases(t, pat, engNodes, codecs, plan)
+}
+
+// runPhases executes one round of pat's phase program serially: every
+// active rank runs phase p before any rank starts phase p+1, the order the
+// sharded runtime's barriers impose. The hub hands slices over by reference,
+// so ranks running their phases concurrently without barriers could race on
+// reused send buffers (the butterfly's).
+func runPhases(t *testing.T, pat engine.Pattern, nodes []engine.Node, codecs []engine.Codec, plan core.RoundPlan) []engine.NodeReport {
+	t.Helper()
+	n := len(nodes)
 	hub := memtransport.NewHub(n)
-	reports := make([]engine.NodeReport, n)
-	errs := make(chan error, n)
-	done := make(chan struct{})
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			ctx := engine.RoundContext{Round: plan.Round, Seed: plan.Seed, Self: i, N: n, Plan: plan}
-			rep, err := engine.WorkerRound(engNodes[i], pat, codecs, hub, nil, ctx)
-			reports[i] = rep
-			errs <- err
-		}(i)
-	}
-	go func() {
-		for i := 0; i < n; i++ {
-			if err := <-errs; err != nil {
-				t.Error(err)
+	states := make([]engine.PhaseState, n)
+	for p := 0; p < pat.PhaseCount(plan, n); p++ {
+		for r := range nodes {
+			if plan.Active != nil && !plan.Active[r] {
+				continue
+			}
+			ctx := engine.RoundContext{Round: plan.Round, Seed: plan.Seed, Self: r, N: n, Plan: plan}
+			if err := pat.RunPhase(ctx, p, nodes[r], codecs, hub, &states[r]); err != nil {
+				t.Fatalf("rank %d phase %d: %v", r, p, err)
 			}
 		}
-		close(done)
-	}()
-	<-done
-	return nodes, reports
+	}
+	reports := make([]engine.NodeReport, n)
+	for r := range states {
+		reports[r] = states[r].Rep
+	}
+	return reports
 }
 
 func denseCodecs(n int) []engine.Codec {
@@ -224,26 +231,7 @@ func TestHubPullTrainPush(t *testing.T) {
 		nodes[i] = &hubNode{vecNode: vecNode{out: []float64{float64(10 + i)}}, server: i == 3}
 		engNodes[i] = nodes[i]
 	}
-	hub := memtransport.NewHub(n)
-	reports := make([]engine.NodeReport, n)
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			if plan.Active != nil && !plan.Active[i] {
-				errs <- nil
-				return
-			}
-			ctx := engine.RoundContext{Round: plan.Round, Self: i, N: n, Plan: plan}
-			rep, err := engine.WorkerRound(engNodes[i], pat, denseCodecs(n), hub, nil, ctx)
-			reports[i] = rep
-			errs <- err
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
+	reports := runPhases(t, pat, engNodes, denseCodecs(n), plan)
 	for _, w := range []int{0, 2} {
 		if !nodes[w].mergedBefore {
 			t.Fatalf("worker %d computed before receiving the downlink", w)

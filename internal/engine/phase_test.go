@@ -8,7 +8,7 @@ import (
 	"sapspsgd/internal/engine/memtransport"
 )
 
-// TestHubSendRecvFIFO pins the one-way primitives the sharded runtime uses:
+// TestHubSendRecvFIFO pins the one-way primitives every runtime uses:
 // deposits drain in FIFO order per directed pair, independently per
 // direction, and rank validation matches Exchange.
 func TestHubSendRecvFIFO(t *testing.T) {
@@ -43,47 +43,27 @@ func TestHubSendRecvFIFO(t *testing.T) {
 }
 
 // exchangeOnly hides the Hub's phased methods, modelling a custom transport
-// that predates the sharded runtime.
+// written against Exchange alone.
 type exchangeOnly struct{ hub *memtransport.Hub }
 
 func (e exchangeOnly) Exchange(round, self, peer int, payload []float64) ([]float64, error) {
 	return e.hub.Exchange(round, self, peer, payload)
 }
 
-// TestShardsFallbackWithoutPhasedTransport: a Shards request over a
-// transport with no phased path must degrade to the blocking pool and still
-// reproduce the serial run bit for bit.
-func TestShardsFallbackWithoutPhasedTransport(t *testing.T) {
+// TestNewRejectsExchangeOnlyTransport: every pattern runs as a phase
+// program over Send/Recv, so engine.New must refuse a transport that only
+// offers Exchange rather than fail mid-round.
+func TestNewRejectsExchangeOnlyTransport(t *testing.T) {
 	const n = 4
-	spec := testSpec(4)
-	ref, refTraj := inProcRun(t, spec, n, nil, nil)
-
-	workers := buildWorkers(t, spec, n)
-	eng := engine.New(engine.Options{
-		Workers:   workers,
+	spec := testSpec(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("engine.New accepted a transport without PhasedTransport")
+		}
+	}()
+	engine.New(engine.Options{
+		Workers:   buildWorkers(t, spec, n),
 		Planner:   core.NewCoordinator(testEnv(n), coreConfig(spec, n)),
 		Transport: exchangeOnly{hub: memtransport.NewHub(n)},
-		Shards:    2,
 	})
-	defer eng.Close()
-	led := &engine.CountingLedger{}
-	for round := 0; round < spec.Rounds; round++ {
-		if _, err := eng.Step(round, led); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		for i, w := range workers {
-			params := w.Params()
-			for j, v := range params {
-				if v != refTraj[round][i][j] {
-					t.Fatalf("round %d worker %d param %d: fallback %v != serial %v", round, i, j, v, refTraj[round][i][j])
-				}
-			}
-		}
-	}
-	got := led.RoundBytes()
-	for r := range ref {
-		if ref[r] != got[r] {
-			t.Fatalf("round %d bytes: fallback %d != serial %d", r, got[r], ref[r])
-		}
-	}
 }

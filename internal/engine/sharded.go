@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"sapspsgd/internal/core"
@@ -16,8 +18,8 @@ import (
 // the shard count:
 //
 //   - each rank's floating-point work is confined to its own state and runs
-//     in the same per-rank operation order as the blocking pool (the
-//     PhasedPattern contract), so trajectories are bit-identical;
+//     in the pattern's per-rank operation order whatever the shard count
+//     (the Pattern contract), so trajectories are bit-identical;
 //   - cross-rank data moves only through the transport's keyed FIFOs, and
 //     every Recv consumes a deposit from an earlier phase (the phase barrier
 //     is the happens-before edge);
@@ -36,13 +38,14 @@ import (
 // steady-state round performs no heap allocations.
 type shardRunner struct {
 	n       int
-	pattern PhasedPattern
+	pattern Pattern
 	nodes   []Node
 	codecs  []Codec
 	tr      PhasedTransport
 
-	cmds []chan shardCmd // one per shard
-	done chan error      // one message per shard per dispatched command
+	cmds     []chan shardCmd // one per shard
+	done     chan error      // one message per shard per dispatched command
+	stopOnce sync.Once
 
 	// plan is the round's control message, written by runRound before the
 	// first dispatch (the command-channel send is the happens-before edge
@@ -86,11 +89,11 @@ type phaseRun struct {
 }
 
 // newShardRunner spawns shards executor goroutines over the rank space.
-// shards is clamped to [1, n].
-func newShardRunner(nodes []Node, codecs []Codec, pat PhasedPattern, tr PhasedTransport, shards int) *shardRunner {
+// shards < 1 means GOMAXPROCS, and the count is clamped to n.
+func newShardRunner(nodes []Node, codecs []Codec, pat Pattern, tr PhasedTransport, shards int) *shardRunner {
 	n := len(nodes)
 	if shards < 1 {
-		shards = 1
+		shards = runtime.GOMAXPROCS(0)
 	}
 	if shards > n {
 		shards = n
@@ -119,6 +122,16 @@ func newShardRunner(nodes []Node, codecs []Codec, pat PhasedPattern, tr PhasedTr
 	}
 	s.bounds[shards] = n
 	return s
+}
+
+// stop closes the shard command channels exactly once, whether via
+// Engine.Close or the unreachability cleanup, ending the shard goroutines.
+func (s *shardRunner) stop() {
+	s.stopOnce.Do(func() {
+		for _, c := range s.cmds {
+			close(c)
+		}
+	})
 }
 
 // shardLoop serves one shard's ranks command by command until the command

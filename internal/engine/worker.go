@@ -1,51 +1,25 @@
 package engine
 
-// Gate bounds the engine's CPU-heavy sections (local SGD, encode/decode,
-// merge) without serializing the network exchanges between them: a pattern
-// holds the gate while computing, releases it before blocking in
-// Transport.Exchange, and re-acquires it to merge. This is what lets a
-// bounded pool drive many more workers than cores with no rendezvous
-// deadlock.
-type Gate interface {
-	Acquire()
-	Release()
-}
-
-// NewGate returns a counting-semaphore Gate admitting at most limit
-// concurrent holders. limit < 1 panics.
-func NewGate(limit int) Gate {
-	if limit < 1 {
-		panic("engine: gate limit < 1")
-	}
-	return semGate(make(chan struct{}, limit))
-}
-
-type semGate chan struct{}
-
-func (g semGate) Acquire() { g <- struct{}{} }
-func (g semGate) Release() { <-g }
-
-// nopGate is the ungated variant used by single-worker deployments (one
-// process per worker, e.g. the TCP client), where the OS already schedules.
-type nopGate struct{}
-
-func (nopGate) Acquire() {}
-func (nopGate) Release() {}
-
-// WorkerRound executes one node's full round — local compute, the pattern's
-// encoded exchanges over the transport, and the merge. This is the single
-// canonical implementation of the worker round: every backend (in-memory,
-// simulated-bandwidth, TCP) funnels through it.
+// WorkerRound executes one rank's full round outside the in-process
+// runtimes — the TCP worker's entry point: it runs the pattern's phases
+// 0 … PhaseCount-1 in order on a fresh PhaseState. This is safe without
+// barriers because every Recv consumes a deposit its peer made in an earlier
+// phase (see Pattern), provided tr's Send has finished reading the payload
+// when it returns: with no barrier, a rank may rewrite a buffer it deposited
+// before the peer has received it (the butterfly's chunk buffers do).
 //
-// pat nil defaults to the pairwise matched-gossip pattern; gate nil runs
-// ungated. codecs is the shared per-rank codec table: the node encodes with
-// codecs[ctx.Self] and decodes inbound payloads with the sender's codec.
-func WorkerRound(node Node, pat Pattern, codecs []Codec, tr Transport, gate Gate, ctx RoundContext) (NodeReport, error) {
+// pat nil defaults to the pairwise matched-gossip pattern. codecs is the
+// shared per-rank codec table: the node encodes with codecs[ctx.Self] and
+// decodes inbound payloads with the sender's codec.
+func WorkerRound(node Node, pat Pattern, codecs []Codec, tr PhasedTransport, ctx RoundContext) (NodeReport, error) {
 	if pat == nil {
 		pat = Pairwise{}
 	}
-	if gate == nil {
-		gate = nopGate{}
+	var st PhaseState
+	for p, phases := 0, pat.PhaseCount(ctx.Plan, ctx.N); p < phases; p++ {
+		if err := pat.RunPhase(ctx, p, node, codecs, tr, &st); err != nil {
+			return NodeReport{}, err
+		}
 	}
-	return pat.RunRound(ctx, node, codecs, tr, gate)
+	return st.Rep, nil
 }

@@ -85,31 +85,27 @@ func (w *WorkerClient) dialProbe(peer int, payload []byte) (float64, error) {
 	return throughputMBps(len(payload)+len(p.Payload), time.Since(start)), nil
 }
 
-// acceptProbe accepts one incoming probe, echoes it, and attributes the
-// measurement to the dialer identified inside the probe.
+// probeConn is an accepted probe connection, handed from the accept loop to
+// acceptProbe with its probe already read; start is when the read began.
+type probeConn struct {
+	conn  *Conn
+	probe Probe
+	start time.Time
+}
+
+// acceptProbe takes one incoming probe from the accept loop, echoes it, and
+// attributes the measurement to the dialer identified inside the probe.
 func (w *WorkerClient) acceptProbe(payload []byte) (from int, mbps float64, err error) {
-	nc, err := w.peerLn.Accept()
-	if err != nil {
-		return 0, 0, err
-	}
-	conn := NewConn(nc)
-	defer conn.Close()
-	start := time.Now()
-	msg, err := conn.Recv()
-	if err != nil {
-		return 0, 0, err
-	}
-	p, ok := msg.(Probe)
-	if !ok {
-		return 0, 0, fmt.Errorf("transport: probe got %T", msg)
-	}
+	pc := <-w.probes
+	defer pc.conn.Close()
+	p := pc.probe
 	if p.From < 0 || p.From >= w.n {
 		return 0, 0, fmt.Errorf("transport: probe from invalid rank %d", p.From)
 	}
-	if err := conn.Send(Probe{From: w.rank, Payload: payload}); err != nil {
+	if err := pc.conn.Send(Probe{From: w.rank, Payload: payload}); err != nil {
 		return 0, 0, err
 	}
-	return p.From, throughputMBps(len(p.Payload)+len(payload), time.Since(start)), nil
+	return p.From, throughputMBps(len(p.Payload)+len(payload), time.Since(pc.start)), nil
 }
 
 func throughputMBps(totalBytes int, elapsed time.Duration) float64 {

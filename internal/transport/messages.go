@@ -181,19 +181,20 @@ type (
 		PayloadLen int
 		Flows      []engine.Flow
 	}
-	// RoundFailed is a worker's report that its round attempt died on a
-	// peer exchange (the peer's process is gone): the coordinator marks the
-	// peer dead, aborts the round on every survivor, and re-plans it.
+	// RoundFailed is a worker's report that its round attempt could not
+	// deliver a payload to a peer (the peer's process is gone): the
+	// coordinator marks the peer dead, aborts the round on every survivor,
+	// and re-plans it.
 	RoundFailed struct {
 		Rank   int
 		Round  int
-		Peer   int // the peer whose exchange failed, -1 if unknown
+		Peer   int // the peer a Send failed to reach, -1 if unknown
 		Reason string
 	}
 	// Abort tells every surviving worker to discard the named round's
-	// attempt: roll back to the round-boundary snapshot, drop stashed peer
-	// connections, and acknowledge. A re-planned RoundMsg (Attempt+1)
-	// follows.
+	// attempt: roll back to the round-boundary snapshot and acknowledge. A
+	// re-planned RoundMsg (Attempt+1) follows, and the attempt's stashed
+	// peer payloads are dropped when it arrives.
 	Abort struct {
 		Round int
 	}
@@ -239,14 +240,12 @@ type (
 	Done struct{}
 )
 
-// PeerPayload is the data-plane message two exchanging workers swap: the
-// encoded wire words for the given round. Seq orders multiple meetings of
-// the same pair within one round (hub pull/push, collective phases): both
-// endpoints count their exchanges per (round, peer) and the numbers must
-// agree, which catches mispaired connections under out-of-order arrival.
-// Attempt distinguishes a re-planned round's exchanges from a stale aborted
-// attempt's. From -2 is the abort sentinel a worker dials into its own
-// listener to unblock a pending Accept.
+// PeerPayload is the data-plane message of one Send: the encoded wire words
+// one worker sends another in the given round, on a connection of its own.
+// Seq numbers a sender's payloads to one receiver within a round attempt
+// (the collective sends several), so the receiver claims them in send order
+// even when their connections arrive out of order. Attempt distinguishes a
+// re-planned round's payloads from a stale aborted attempt's.
 type PeerPayload struct {
 	Round   int
 	From    int
@@ -254,10 +253,6 @@ type PeerPayload struct {
 	Attempt int
 	Vals    []float64
 }
-
-// abortSentinel is the PeerPayload.From value of the self-dialed wake-up
-// connection used to interrupt a blocked Accept during an abort.
-const abortSentinel = -2
 
 // wire is the gob envelope: encoding an interface value requires concrete
 // type registration, done in registerTypes.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -295,5 +296,62 @@ func TestConnSendAfterCloseFails(t *testing.T) {
 	}
 	if _, ok := got.(Done); !ok {
 		t.Fatalf("got %T", got)
+	}
+}
+
+// TestPeersSendLargePayloadsBeforeRecv: two workers each Send an 8 MB
+// payload to the other before either calls Recv. The payloads exceed what
+// loopback socket buffers hold, so a Send that waited for the receiver's
+// Recv to read its connection would deadlock both; the accept loop must
+// drain them as they arrive.
+func TestPeersSendLargePayloadsBeforeRecv(t *testing.T) {
+	const words = 1 << 20
+	// Full-mantissa values keep gob from compressing the payload.
+	value := func(rank, j int) float64 { return 1 / float64(rank*words+j+3) }
+	ws := []*WorkerClient{{rank: 0, n: 2}, {rank: 1, n: 2}}
+	addrs := make([]string, len(ws))
+	for i, w := range ws {
+		if err := w.listenPeers("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		defer w.peerLn.Close()
+		addrs[i] = w.peerLn.Addr().String()
+	}
+	done := make(chan error, len(ws))
+	for i, w := range ws {
+		w.addrs = addrs
+		w.sendSeq, w.recvSeq = map[int]int{}, map[int]int{}
+		go func() {
+			payload := make([]float64, words)
+			for j := range payload {
+				payload[j] = value(i, j)
+			}
+			d := peerDialer{w}
+			if err := d.Send(0, i, 1-i, payload); err != nil {
+				done <- err
+				return
+			}
+			got, err := d.Recv(0, i, 1-i)
+			if err == nil && len(got) != words {
+				err = fmt.Errorf("rank %d received %d words, want %d", i, len(got), words)
+			}
+			for j := 0; err == nil && j < len(got); j++ {
+				if got[j] != value(1-i, j) {
+					err = fmt.Errorf("rank %d word %d: %v, want %v", i, j, got[j], value(1-i, j))
+				}
+			}
+			done <- err
+		}()
+	}
+	timeout := time.After(60 * time.Second)
+	for range ws {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("peers deadlocked sending to each other before receiving")
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sapspsgd/internal/core"
 	"sapspsgd/internal/engine"
@@ -54,22 +55,29 @@ type WorkerClient struct {
 
 	peerLn net.Listener
 	addrs  []string
-	// pending stashes accepted peer connections that arrived while this
-	// worker was waiting for a different peer (multi-peer patterns accept
-	// in no guaranteed order); FIFO per sender.
-	pending map[int][]*pendingConn
-	// seq counts this round's exchanges per peer; both endpoints of every
-	// meeting must agree on the sequence number.
-	seq map[int]int
-	// attempt is the current round's execution attempt (from RoundMsg).
-	attempt int
+	// probes hands accepted bandwidth-probe connections from the accept
+	// loop to the measurement phase.
+	probes chan probeConn
 
-	// aborting flags an in-flight round as cancelled; exchanges bail out.
+	// mu guards the inbound payload stash, the current attempt (which the
+	// accept loop's readers consult to drop stale payloads) and inflight;
+	// cond wakes a Recv waiting on the stash (or on an abort).
+	mu   sync.Mutex
+	cond sync.Cond
+	// stash holds inbound payloads by sender until Recv claims them.
+	stash map[int][]PeerPayload
+	// round and attempt identify the current round attempt (from RoundMsg).
+	round, attempt int
+	// sendSeq and recvSeq count this attempt's payloads per peer and
+	// direction; the receiver claims payloads in the sender's order.
+	sendSeq, recvSeq map[int]int
+
+	// aborting flags an in-flight round as cancelled; Send and Recv bail
+	// out.
 	aborting atomic.Bool
-	// inflight is the peer connection the round goroutine is currently
-	// blocked on; the main loop closes it to interrupt the round.
-	inflightMu sync.Mutex
-	inflight   *Conn
+	// inflight is the connection a Send is currently writing; the main
+	// loop closes it to interrupt the round.
+	inflight *Conn
 
 	// boundary is the in-memory round-boundary state captured before the
 	// current round's compute, restored on abort; boundaryRound tags it.
@@ -86,13 +94,6 @@ type WorkerClient struct {
 	dieAtRound *int
 }
 
-// pendingConn is one accepted-but-not-yet-consumed peer connection with its
-// opening payload.
-type pendingConn struct {
-	conn *Conn
-	pp   PeerPayload
-}
-
 // recvResult is one message (or terminal error) from the coordinator reader.
 type recvResult struct {
 	msg any
@@ -105,8 +106,8 @@ type roundResult struct {
 	err error
 }
 
-// peerError wraps a round failure with the peer whose exchange died, so the
-// coordinator can mark the right process dead.
+// peerError wraps a round failure with the peer a Send failed to reach, so
+// the coordinator can mark the right process dead.
 type peerError struct {
 	peer int
 	err  error
@@ -132,12 +133,13 @@ func (w *WorkerClient) logf(format string, args ...any) {
 // address to listen on for peer exchanges ("127.0.0.1:0" for an ephemeral
 // port).
 func (w *WorkerClient) Run(coordAddr, peerAddr string) ([]float64, error) {
-	var err error
-	w.peerLn, err = net.Listen("tcp", peerAddr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: worker peer listen: %w", err)
+	if err := w.listenPeers(peerAddr); err != nil {
+		return nil, err
 	}
 	defer w.peerLn.Close()
+	// A Recv still waiting when Run returns (the coordinator vanished
+	// mid-round) must not leak its goroutine.
+	defer w.startAbort()
 
 	nc, err := net.Dial("tcp", coordAddr)
 	if err != nil {
@@ -286,7 +288,6 @@ func (w *WorkerClient) rejoin() error {
 // buildNode assembles the model, node, pattern, and codec table from the
 // task spec — identically whether registering fresh or resuming.
 func (w *WorkerClient) buildNode() error {
-	w.pending = map[int][]*pendingConn{}
 	spec := w.task
 	trainers := spec.Trainers(w.n)
 	rec := spec.Recipe(trainers)
@@ -346,6 +347,7 @@ func (w *WorkerClient) handleRound(m RoundMsg, msgs <-chan recvResult) error {
 	if m.Addrs != nil {
 		w.addrs = m.Addrs
 	}
+	w.setAttempt(m.Round, m.Attempt)
 	// A RoundMsg for a later round commits the held-back snapshot.
 	if w.pendingSnap != nil && m.Round >= w.pendingSnap.NextRound {
 		w.flushSnapshot()
@@ -370,15 +372,14 @@ func (w *WorkerClient) handleRound(m RoundMsg, msgs <-chan recvResult) error {
 		return err
 	}
 	w.boundaryRound = m.Round
-	w.attempt = m.Attempt
-	w.seq = map[int]int{}
+	w.sendSeq, w.recvSeq = map[int]int{}, map[int]int{}
 	w.aborting.Store(false)
 
 	plan := core.RoundPlan{Round: m.Round, Seed: m.Seed, Active: m.Active, Peer: peerTable(m.Peer, w.rank, w.n)}
 	ctx := engine.RoundContext{Round: m.Round, Seed: m.Seed, Self: w.rank, N: w.n, Plan: plan}
 	done := make(chan roundResult, 1)
 	go func() {
-		rep, err := engine.WorkerRound(w.node, w.pattern, w.codecs, peerDialer{w}, nil, ctx)
+		rep, err := engine.WorkerRound(w.node, w.pattern, w.codecs, peerDialer{w}, ctx)
 		done <- roundResult{rep: rep, err: err}
 	}()
 
@@ -466,8 +467,9 @@ func (w *WorkerClient) awaitAbort(round int, msgs <-chan recvResult) error {
 	}
 }
 
-// rollbackAndAck restores the round-boundary state, drops stashed peer
-// connections, and acknowledges the abort.
+// rollbackAndAck restores the round-boundary state and acknowledges the
+// abort. Payloads the aborted attempt left in the stash are dropped when the
+// next attempt starts (setAttempt).
 func (w *WorkerClient) rollbackAndAck(round int) error {
 	if w.boundaryRound == round {
 		if err := engine.RestoreRank(w.node, w.codecs[w.rank], w.boundary); err != nil {
@@ -477,38 +479,28 @@ func (w *WorkerClient) rollbackAndAck(round int) error {
 	if w.pendingSnap != nil && w.pendingSnap.NextRound == round+1 {
 		w.pendingSnap = nil
 	}
-	for peer, list := range w.pending {
-		for _, pc := range list {
-			pc.conn.Close()
-		}
-		delete(w.pending, peer)
-	}
 	w.boundaryRound = -1
 	return w.coord.Send(AbortAck{Rank: w.rank, Round: round})
 }
 
-// startAbort cancels the in-flight round attempt: flag it, cut the blocked
-// peer connection, and wake a pending Accept with the sentinel.
+// startAbort cancels the in-flight round attempt: flag it, cut the
+// connection a Send is writing, and wake a Recv waiting on the stash.
 func (w *WorkerClient) startAbort() {
 	w.aborting.Store(true)
-	w.inflightMu.Lock()
+	w.mu.Lock()
 	if w.inflight != nil {
 		w.inflight.Close()
 	}
-	w.inflightMu.Unlock()
-	if nc, err := net.Dial("tcp", w.peerLn.Addr().String()); err == nil {
-		c := NewConn(nc)
-		c.Send(PeerPayload{From: abortSentinel})
-		c.Close()
-	}
+	w.cond.Broadcast()
+	w.mu.Unlock()
 }
 
 // setInflight publishes the connection the round goroutine is about to block
 // on (nil clears it).
 func (w *WorkerClient) setInflight(c *Conn) {
-	w.inflightMu.Lock()
+	w.mu.Lock()
 	w.inflight = c
-	w.inflightMu.Unlock()
+	w.mu.Unlock()
 }
 
 // peerTable reconstructs the pairwise peer table from this worker's own
@@ -528,137 +520,145 @@ func peerTable(peer, self, n int) []int {
 	return t
 }
 
-// peerDialer adapts the worker's peer connections to engine.Transport, so
-// the canonical engine round drives the TCP deployment: the round logic
-// lives in internal/engine, and only the payload swap below is
-// transport-specific.
+// peerDialer adapts the worker's peer connections to engine.PhasedTransport,
+// so the canonical engine round drives the TCP deployment: the round logic
+// lives in internal/engine, and only the payload delivery below is
+// transport-specific. Each Send opens its own connection to the receiver,
+// writes one PeerPayload, and closes it; the receiver's accept loop reads
+// every inbound payload as it arrives into a per-sender stash, which Recv
+// drains in the sender's order. Because no Send waits for the receiver's
+// Recv, two peers sending large payloads to each other cannot deadlock on
+// unread sockets, and a Send has serialized its payload before it returns.
 type peerDialer struct{ w *WorkerClient }
 
-// Exchange implements engine.Transport.
-func (d peerDialer) Exchange(round, self, peer int, payload []float64) ([]float64, error) {
-	vals, err := d.w.exchange(round, peer, payload)
-	if err != nil && !errors.Is(err, errAborted) {
-		return nil, &peerError{peer: peer, err: err}
-	}
-	return vals, err
-}
-
-// exchange swaps encoded payloads with the peer: the lower rank dials, the
-// higher rank accepts. Multi-peer patterns can make the accept side receive
-// connections out of order, so accepted connections self-identify via their
-// opening PeerPayload and are stashed until their exchange comes up; the
-// per-(round, peer) sequence number verifies both sides agree on which
-// meeting this is.
-func (w *WorkerClient) exchange(round, peer int, payload []float64) ([]float64, error) {
+// Send implements engine.PhasedTransport.
+func (d peerDialer) Send(round, self, peer int, payload []float64) error {
+	w := d.w
 	if w.aborting.Load() {
-		return nil, errAborted
+		return errAborted
 	}
-	seq := w.seq[peer]
-	w.seq[peer]++
-	out := PeerPayload{Round: round, From: w.rank, Seq: seq, Attempt: w.attempt, Vals: payload}
-
-	if w.rank < peer {
-		nc, err := net.Dial("tcp", w.addrs[peer])
-		if err != nil {
-			return nil, fmt.Errorf("transport: worker %d dial peer %d: %w", w.rank, peer, err)
-		}
-		conn := NewConn(nc)
-		w.setInflight(conn)
-		defer w.setInflight(nil)
-		defer conn.Close()
-		if err := conn.Send(out); err != nil {
-			return nil, err
-		}
-		msg, err := conn.Recv()
-		if err != nil {
-			if w.aborting.Load() {
-				return nil, errAborted
-			}
-			return nil, err
-		}
-		pp, ok := msg.(PeerPayload)
-		if !ok {
-			return nil, fmt.Errorf("transport: worker %d: peer sent %T", w.rank, msg)
-		}
-		if err := w.checkPayload(pp, round, peer, seq); err != nil {
-			return nil, err
-		}
-		return pp.Vals, nil
-	}
-
-	pc, err := w.awaitPeer(round, peer)
+	seq := w.sendSeq[peer]
+	w.sendSeq[peer]++
+	nc, err := net.Dial("tcp", w.addrs[peer])
 	if err != nil {
-		return nil, err
+		return &peerError{peer: peer, err: fmt.Errorf("transport: worker %d dial peer %d: %w", w.rank, peer, err)}
 	}
-	w.setInflight(pc.conn)
-	defer w.setInflight(nil)
-	defer pc.conn.Close()
-	if err := w.checkPayload(pc.pp, round, peer, seq); err != nil {
-		return nil, err
-	}
-	if err := pc.conn.Send(out); err != nil {
-		if w.aborting.Load() {
-			return nil, errAborted
-		}
-		return nil, err
-	}
-	return pc.pp.Vals, nil
-}
-
-// awaitPeer returns the oldest stashed connection from peer, accepting (and
-// stashing) incoming connections until one arrives. The abort sentinel (a
-// self-dialed connection with From == abortSentinel) interrupts the wait
-// when the round is being cancelled. Stale payloads — dialed during an
-// aborted attempt and parked in the listener's TCP backlog until now — are
-// discarded here rather than stashed, so they can never pair with (and
-// fail) a re-planned round's exchange.
-func (w *WorkerClient) awaitPeer(round, peer int) (*pendingConn, error) {
-	for {
-		if list := w.pending[peer]; len(list) > 0 {
-			pc := list[0]
-			w.pending[peer] = list[1:]
-			return pc, nil
-		}
-		nc, err := w.peerLn.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("transport: worker %d accept peer %d: %w", w.rank, peer, err)
-		}
-		conn := NewConn(nc)
-		msg, err := conn.Recv()
-		if err != nil {
-			conn.Close()
-			if w.aborting.Load() {
-				return nil, errAborted
-			}
-			return nil, fmt.Errorf("transport: worker %d: peer hello: %w", w.rank, err)
-		}
-		pp, ok := msg.(PeerPayload)
-		if !ok {
-			conn.Close()
-			return nil, fmt.Errorf("transport: worker %d: accepted %T", w.rank, msg)
-		}
-		if pp.From == abortSentinel {
-			conn.Close()
-			if w.aborting.Load() {
-				return nil, errAborted
-			}
-			continue // stale sentinel from an already-resolved abort
-		}
-		if pp.Round < round || (pp.Round == round && pp.Attempt < w.attempt) {
-			conn.Close()
-			continue // stale payload from an aborted attempt's backlog
-		}
-		w.pending[pp.From] = append(w.pending[pp.From], &pendingConn{conn: conn, pp: pp})
-	}
-}
-
-// checkPayload validates an inbound payload's routing metadata, including
-// the attempt number (a stale payload from an aborted attempt must never
-// pair with a re-planned round's exchange).
-func (w *WorkerClient) checkPayload(pp PeerPayload, round, peer, seq int) error {
-	if pp.Round != round || pp.From != peer || pp.Seq != seq || pp.Attempt != w.attempt {
-		return fmt.Errorf("transport: worker %d: stale payload round=%d from=%d seq=%d attempt=%d, want round=%d from=%d seq=%d attempt=%d",
-			w.rank, pp.Round, pp.From, pp.Seq, pp.Attempt, round, peer, seq, w.attempt)
+	conn := NewConn(nc)
+	w.setInflight(conn)
+	err = conn.Send(PeerPayload{Round: round, From: w.rank, Seq: seq, Attempt: w.attempt, Vals: payload})
+	w.setInflight(nil)
+	conn.Close()
+	switch {
+	case w.aborting.Load():
+		return errAborted
+	case err != nil:
+		return &peerError{peer: peer, err: err}
 	}
 	return nil
+}
+
+// Recv implements engine.PhasedTransport: it claims peer's next payload of
+// the current attempt from the stash, waiting for the accept loop to deliver
+// it, or returns errAborted once the attempt is cancelled.
+func (d peerDialer) Recv(round, self, peer int) ([]float64, error) {
+	w := d.w
+	seq := w.recvSeq[peer]
+	w.recvSeq[peer]++
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for !w.aborting.Load() {
+		list := w.stash[peer]
+		for i, pp := range list {
+			if pp.Round == round && pp.Attempt == w.attempt && pp.Seq == seq {
+				w.stash[peer] = append(list[:i], list[i+1:]...)
+				return pp.Vals, nil
+			}
+		}
+		w.cond.Wait()
+	}
+	return nil, errAborted
+}
+
+// listenPeers opens the worker's peer listener on addr and starts the accept
+// loop that feeds the stash and the measurement phase.
+func (w *WorkerClient) listenPeers(addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("transport: worker peer listen: %w", err)
+	}
+	w.peerLn = ln
+	w.cond.L = &w.mu
+	w.stash = map[int][]PeerPayload{}
+	w.probes = make(chan probeConn)
+	go w.acceptPeers()
+	return nil
+}
+
+// acceptPeers accepts peer connections until the listener closes, reading
+// each on its own goroutine so one slow sender never holds up another.
+func (w *WorkerClient) acceptPeers() {
+	for {
+		nc, err := w.peerLn.Accept()
+		if err != nil {
+			return
+		}
+		go w.readPeer(NewConn(nc))
+	}
+}
+
+// readPeer reads an accepted connection's opening message: a PeerPayload is
+// stashed for Recv, a Probe is handed to the measurement phase with the
+// time its read began.
+func (w *WorkerClient) readPeer(conn *Conn) {
+	start := time.Now()
+	msg, err := conn.Recv()
+	if err != nil {
+		conn.Close()
+		return
+	}
+	switch m := msg.(type) {
+	case PeerPayload:
+		conn.Close()
+		w.deliver(m)
+	case Probe:
+		w.probes <- probeConn{conn: conn, probe: m, start: start}
+	default:
+		conn.Close()
+	}
+}
+
+// deliver stashes an inbound payload and wakes a waiting Recv. Payloads of
+// an earlier round or of an aborted attempt of the current round are
+// dropped, so they can never pair with a re-planned round's Recv; payloads
+// of a later attempt (a peer that started it first) are kept.
+func (w *WorkerClient) deliver(pp PeerPayload) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.stale(pp) {
+		return
+	}
+	w.stash[pp.From] = append(w.stash[pp.From], pp)
+	w.cond.Broadcast()
+}
+
+// setAttempt makes (round, attempt) current and drops every stashed payload
+// it makes stale.
+func (w *WorkerClient) setAttempt(round, attempt int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.round, w.attempt = round, attempt
+	for from, list := range w.stash {
+		kept := list[:0]
+		for _, pp := range list {
+			if !w.stale(pp) {
+				kept = append(kept, pp)
+			}
+		}
+		w.stash[from] = kept
+	}
+}
+
+// stale reports whether pp predates the current attempt. Callers hold mu.
+func (w *WorkerClient) stale(pp PeerPayload) bool {
+	return pp.Round < w.round || (pp.Round == w.round && pp.Attempt < w.attempt)
 }

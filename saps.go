@@ -38,7 +38,6 @@ import (
 	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/engine"
 	"sapspsgd/internal/engine/memtransport"
-	"sapspsgd/internal/engine/simtransport"
 	"sapspsgd/internal/gossip"
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
@@ -99,12 +98,13 @@ type (
 // composition over Nodes; the seven baselines in this package are exactly
 // such compositions (see AlgoRecipe).
 type (
-	// Engine runs the round loop over an in-process node pool.
+	// Engine runs the round loop over an in-process fleet.
 	Engine = engine.Engine
 	// EngineOptions configures an Engine (nodes/workers, pattern, codecs,
 	// planner, transport).
 	EngineOptions = engine.Options
-	// EngineTransport is the peer-to-peer data plane a backend implements.
+	// EngineTransport is the peer-to-peer data plane a backend implements
+	// (the engine requires its engine.PhasedTransport Send/Recv methods).
 	EngineTransport = engine.Transport
 	// EngineLedger is the traffic/time accounting a backend charges.
 	EngineLedger = engine.Ledger
@@ -132,12 +132,14 @@ type (
 // accounted) — or leave Options.Transport nil for the in-memory default.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
-// NewMemTransport returns the in-process rendezvous transport for n workers.
+// NewMemTransport returns the in-process transport for n workers.
 func NewMemTransport(n int) EngineTransport { return memtransport.NewHub(n) }
 
 // NewSimTransport returns an in-process transport plus a ledger that charges
 // every exchange against the bandwidth environment bw.
-func NewSimTransport(bw *Bandwidth) (EngineTransport, *Ledger) { return simtransport.New(bw) }
+func NewSimTransport(bw *Bandwidth) (EngineTransport, *Ledger) {
+	return memtransport.NewHub(bw.N), netsim.NewLedger(bw)
+}
 
 // DefaultConfig returns the paper's hyperparameters (c = 100, one local SGD
 // step per round) for the given worker count.
