@@ -11,7 +11,6 @@ import (
 	"io"
 	"runtime"
 	"testing"
-	"time"
 
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/core"
@@ -24,7 +23,6 @@ import (
 	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/spectral"
 	"sapspsgd/internal/tensor"
-	"sapspsgd/internal/trainer"
 )
 
 // benchWorkload shrinks a paper workload to bench scale.
@@ -43,12 +41,12 @@ func benchWorkload(w experiments.Workload, rounds int) experiments.Workload {
 // long pole of the benchmark set, so they honor -short (see DESIGN.md §6:
 // `go test -short ./...` is the quick tier-1 sweep, the full run exercises
 // everything).
-func runSuite(b *testing.B, w experiments.Workload, rounds, n int) []trainer.Result {
+func runSuite(b *testing.B, w experiments.Workload, rounds, n int) []*scenario.RunOutput {
 	b.Helper()
 	if testing.Short() {
 		b.Skip("convergence suite skipped in -short mode")
 	}
-	var results []trainer.Result
+	var results []*scenario.RunOutput
 	for i := 0; i < b.N; i++ {
 		suite := experiments.ConvergenceSuite{
 			Workload:  benchWorkload(w, rounds),
@@ -65,7 +63,7 @@ func runSuite(b *testing.B, w experiments.Workload, rounds, n int) []trainer.Res
 	return results
 }
 
-func reportSAPS(b *testing.B, results []trainer.Result) {
+func reportSAPS(b *testing.B, results []*scenario.RunOutput) {
 	b.Helper()
 	for _, r := range results {
 		if r.Algorithm == "SAPS-PSGD" {
@@ -207,7 +205,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 	for _, c := range []float64{4, 20, 100} {
 		name := map[float64]string{4: "c4", 20: "c20", 100: "c100"}[c]
 		b.Run(name, func(b *testing.B) {
-			var final trainer.Record
+			var final scenario.Eval
 			for i := 0; i < b.N; i++ {
 				w := benchWorkload(experiments.MNISTWorkload(), 48)
 				w.Ratios.SAPS = c
@@ -218,8 +216,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 					b.Fatal(err)
 				}
 				_, valid := w.Dataset()
-				res := trainer.Run(alg, bw, trainer.Config{Rounds: w.Rounds, EvalEvery: w.Rounds, Valid: valid})
-				final = res.Final()
+				final = scenario.Train(alg, bw, w.Rounds, scenario.RunOptions{EvalEvery: w.Rounds, Valid: valid}).Final()
 			}
 			b.ReportMetric(final.ValAcc*100, "acc-%")
 			b.ReportMetric(final.TrafficMB, "traffic-MB")
@@ -235,7 +232,7 @@ func BenchmarkAblationMatchingPolicy(b *testing.B) {
 	}
 	for _, name := range []string{"SAPS-PSGD", "RandomChoose"} {
 		b.Run(name, func(b *testing.B) {
-			var res trainer.Result
+			var res *scenario.RunOutput
 			for i := 0; i < b.N; i++ {
 				w := benchWorkload(experiments.MNISTWorkload(), 48)
 				n := 14
@@ -245,7 +242,7 @@ func BenchmarkAblationMatchingPolicy(b *testing.B) {
 					b.Fatal(err)
 				}
 				_, valid := w.Dataset()
-				res = trainer.Run(alg, bw, trainer.Config{Rounds: w.Rounds, EvalEvery: w.Rounds, Valid: valid})
+				res = scenario.Train(alg, bw, w.Rounds, scenario.RunOptions{EvalEvery: w.Rounds, Valid: valid})
 			}
 			f := res.Final()
 			b.ReportMetric(f.ValAcc*100, "acc-%")
@@ -296,7 +293,7 @@ func BenchmarkAblationChurn(b *testing.B) {
 			sub = "churn"
 		}
 		b.Run(sub, func(b *testing.B) {
-			var res trainer.Result
+			var res *scenario.RunOutput
 			for i := 0; i < b.N; i++ {
 				w := benchWorkload(experiments.MNISTWorkload(), 48)
 				n := 8
@@ -306,7 +303,7 @@ func BenchmarkAblationChurn(b *testing.B) {
 					b.Fatal(err)
 				}
 				_, valid := w.Dataset()
-				res = trainer.Run(alg, bw, trainer.Config{Rounds: w.Rounds, EvalEvery: w.Rounds, Valid: valid})
+				res = scenario.Train(alg, bw, w.Rounds, scenario.RunOptions{EvalEvery: w.Rounds, Valid: valid})
 			}
 			b.ReportMetric(res.Final().ValAcc*100, "acc-%")
 		})
@@ -322,7 +319,7 @@ func BenchmarkAblationQuantizationVsSparsification(b *testing.B) {
 	}
 	for _, name := range []string{"QSGD-PSGD", "SAPS-PSGD"} {
 		b.Run(name, func(b *testing.B) {
-			var res trainer.Result
+			var res *scenario.RunOutput
 			for i := 0; i < b.N; i++ {
 				w := benchWorkload(experiments.MNISTWorkload(), 48)
 				n := 8
@@ -332,7 +329,7 @@ func BenchmarkAblationQuantizationVsSparsification(b *testing.B) {
 					b.Fatal(err)
 				}
 				_, valid := w.Dataset()
-				res = trainer.Run(alg, bw, trainer.Config{Rounds: w.Rounds, EvalEvery: w.Rounds, Valid: valid})
+				res = scenario.Train(alg, bw, w.Rounds, scenario.RunOptions{EvalEvery: w.Rounds, Valid: valid})
 			}
 			f := res.Final()
 			b.ReportMetric(f.ValAcc*100, "acc-%")
@@ -439,26 +436,18 @@ func BenchmarkTrafficSmoke(b *testing.B) {
 				}
 				alg = algos.NewSAPS(fc, bw, cfg)
 			}
-			sim := netsim.NewLedger(bw)
-			start := time.Now()
-			for r := 0; r < rounds; r++ {
-				alg.Step(r, sim)
-			}
-			wall := time.Since(start)
+			out := scenario.Train(alg, bw, rounds, scenario.RunOptions{})
 			var volume int64
 			for w := 0; w < n; w++ {
-				s, rcv := sim.WorkerBytes(w)
+				s, rcv := out.Ledger.WorkerBytes(w)
 				volume += s + rcv
 			}
 			rows = append(rows, scenario.AlgoRow{
 				Algorithm:      name,
 				BytesPerRound:  volume / int64(n) / int64(rounds),
-				SimSeconds:     sim.TotalTime(),
-				WallMsPerRound: float64(wall.Microseconds()) / 1000 / rounds,
+				SimSeconds:     out.Result.SimSeconds,
+				WallMsPerRound: out.Result.WallSeconds * 1000 / rounds,
 			})
-			if c, ok := alg.(interface{ Close() }); ok {
-				c.Close()
-			}
 		}
 		sweep = fleetShardSweep(b)
 	}

@@ -30,8 +30,7 @@ import (
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/profiling"
-	"sapspsgd/internal/trace"
-	"sapspsgd/internal/trainer"
+	"sapspsgd/internal/scenario"
 )
 
 func main() {
@@ -145,15 +144,10 @@ func traceRun() error {
 		Workers: n, Compression: 100, LR: w.LR, Batch: w.Batch, LocalSteps: 1,
 		Gossip: gossip.Config{BThres: 4, TThres: 10}, Seed: *flagSeed,
 	}
-	alg := algos.NewSAPS(fc, bw, cfg)
-	alg.Trace = trace.NewRecorder()
-	led := netsim.NewLedger(bw)
-	for t := 0; t < rounds; t++ {
-		alg.Step(t, led)
-	}
+	rec := scenario.Train(algos.NewSAPS(fc, bw, cfg), bw, rounds, scenario.RunOptions{Trace: true}).Trace
 	fmt.Printf("# SAPS round trace: %d rounds, mean matched %.3f MB/s, %.1f%% forced rounds\n",
-		alg.Trace.Len(), alg.Trace.MeanMatchedBandwidth(), 100*alg.Trace.ForcedFraction())
-	return alg.Trace.WriteCSV(os.Stdout)
+		rec.Len(), rec.MeanMatchedBandwidth(), 100*rec.ForcedFraction())
+	return rec.WriteCSV(os.Stdout)
 }
 
 func ablations() error {
@@ -233,7 +227,7 @@ func convergence(which string) error {
 	return nil
 }
 
-func printConvergence(which string, w experiments.Workload, results []trainer.Result) {
+func printConvergence(which string, w experiments.Workload, results []*scenario.RunOutput) {
 	if which == "fig3" || which == "all" {
 		experiments.WriteFig3(os.Stdout, results)
 		fmt.Println()

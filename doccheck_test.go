@@ -1,8 +1,10 @@
-// Documentation lint: the engine, transport, scenario, and campaign
-// packages are the system's public-facing layers (DESIGN.md §2–§3, §6), so
-// every exported identifier there must carry a doc comment and every
-// package a package comment. This is the in-repo mirror of CI's staticcheck ST1000/ST1020/
-// ST1022 step — it runs in the tier-1 suite, so the gate holds offline too.
+// Documentation lint: the engine, transport, scenario, campaign, obs and
+// experiments packages are the system's public-facing layers (DESIGN.md
+// §2–§3, §5–§6), so every exported identifier there must carry a doc
+// comment, every exported function's comment must begin with its name, and
+// every package must have a package comment. This is the in-repo mirror of
+// CI's staticcheck ST1000/ST1020/ST1022 step — it runs in the tier-1 suite,
+// so the gate holds offline too.
 package sapspsgd_test
 
 import (
@@ -19,6 +21,7 @@ import (
 var docCheckedPackages = []string{
 	"internal/campaign",
 	"internal/engine",
+	"internal/experiments",
 	"internal/obs",
 	"internal/scenario",
 	"internal/transport",
@@ -51,7 +54,7 @@ func TestExportedIdentifiersAreDocumented(t *testing.T) {
 					problems = append(problems, fmt.Sprintf("package %s has no package comment (ST1000)", name))
 				}
 				if len(problems) > 0 {
-					t.Errorf("%s: %d undocumented exported identifier(s):\n  %s",
+					t.Errorf("%s: %d doc comment problem(s):\n  %s",
 						dir, len(problems), strings.Join(problems, "\n  "))
 				}
 			}
@@ -60,7 +63,8 @@ func TestExportedIdentifiersAreDocumented(t *testing.T) {
 }
 
 // fileDocProblems reports exported top-level declarations without doc
-// comments in one file.
+// comments in one file, and exported functions and methods whose comment
+// does not begin with their name.
 func fileDocProblems(fset *token.FileSet, f *ast.File) []string {
 	var out []string
 	report := func(pos token.Pos, kind, name string) {
@@ -73,12 +77,17 @@ func fileDocProblems(fset *token.FileSet, f *ast.File) []string {
 			if !d.Name.IsExported() || receiverUnexported(d) {
 				continue
 			}
-			if d.Doc == nil {
-				kind := "function"
-				if d.Recv != nil {
-					kind = "method"
-				}
+			kind := "function"
+			if d.Recv != nil {
+				kind = "method"
+			}
+			switch {
+			case d.Doc == nil:
 				report(d.Pos(), kind, d.Name.Name)
+			case !strings.HasPrefix(d.Doc.Text(), d.Name.Name+" "):
+				p := fset.Position(d.Pos())
+				out = append(out, fmt.Sprintf("%s:%d: comment on exported %s %s should be of the form %q (ST1020)",
+					p.Filename, p.Line, kind, d.Name.Name, d.Name.Name+" ..."))
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {

@@ -29,15 +29,15 @@ func main() {
 	cfg := saps.DefaultConfig(workers)
 	cfg.Batch = 16
 	bw := saps.RandomUniform(workers, 0, 5, 3)
-	trainCfg := saps.TrainConfig{Rounds: rounds, EvalEvery: 50, Valid: valid}
+	runOpts := saps.RunOptions{EvalEvery: 50, Valid: valid}
 
-	stable := saps.Run(saps.NewSAPS(fc, bw, cfg), bw, trainCfg)
+	stable := saps.Run(saps.NewSAPS(fc, bw, cfg), bw, rounds, runOpts)
 	churned := algos.NewSAPSChurn(fc, bw, cfg, algos.ChurnModel{
 		LeaveProb: 0.10,
 		JoinProb:  0.50,
 		MinActive: workers / 2,
 	})
-	churnRes := saps.Run(churned, bw, trainCfg)
+	churnRes := saps.Run(churned, bw, rounds, runOpts)
 
 	minActive, maxActive := workers, 0
 	for _, a := range churned.ActiveHistory {

@@ -31,8 +31,8 @@ func main() {
 	cfg.Gossip = saps.GossipConfig{BThres: 4, TThres: 10} // prefer links ≥ 4 MB/s
 
 	fc := saps.FleetConfig{N: workers, Factory: factory, Shards: shards, LR: cfg.LR, Batch: cfg.Batch, Seed: 1}
-	run := func(alg saps.Algorithm) saps.Result {
-		return saps.Run(alg, bw, saps.TrainConfig{Rounds: 120, EvalEvery: 30, Valid: valid})
+	run := func(alg saps.Algorithm) *saps.RunOutput {
+		return saps.Run(alg, bw, 120, saps.RunOptions{EvalEvery: 30, Valid: valid})
 	}
 
 	adaptive := run(saps.NewSAPS(fc, bw, cfg))
@@ -50,7 +50,7 @@ func main() {
 		fr.TimeSec/fa.TimeSec, fa.TimeSec, fr.TimeSec)
 }
 
-func report(r saps.Result) {
+func report(r *saps.RunOutput) {
 	f := r.Final()
 	fmt.Printf("  final accuracy %.2f%%, %.3f MB/worker, %.3f s communication\n\n",
 		100*f.ValAcc, f.TrafficMB, f.TimeSec)

@@ -43,14 +43,13 @@ func main() {
 
 	fmt.Printf("SAPS-PSGD: %d workers, %d params, c=%.0f\n",
 		workers, factory().ParamCount(), cfg.Compression)
-	res := saps.Run(alg, bw, saps.TrainConfig{
-		Rounds:    rounds,
+	res := saps.Run(alg, bw, rounds, saps.RunOptions{
 		EvalEvery: 25,
 		Valid:     valid,
 	})
 
 	fmt.Println("round  acc      traffic/worker  comm-time")
-	for _, r := range res.Records {
+	for _, r := range res.Evals {
 		fmt.Printf("%5d  %6.2f%%  %8.3f MB     %7.3f s\n",
 			r.Round, 100*r.ValAcc, r.TrafficMB, r.TimeSec)
 	}

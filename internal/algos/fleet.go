@@ -1,8 +1,8 @@
 // Package algos implements the seven training algorithms the paper
 // evaluates — SAPS-PSGD and its six comparators (PSGD all-reduce,
 // TopK-PSGD, FedAvg, S-FedAvg, D-PSGD, DCD-PSGD) plus the QSGD and
-// RandomChoose ablations — behind a common Algorithm interface consumed by
-// the trainer harness. Every algorithm is a thin Planner + Pattern + Codec
+// RandomChoose ablations — behind a common Algorithm interface stepped by
+// scenario's round loop. Every algorithm is a thin Planner + Pattern + Codec
 // composition over the internal/engine round loop (see Recipe), so the same
 // definitions run in-process, against a simulated-bandwidth ledger, and over
 // TCP; all wire traffic is measured from the bytes the codecs actually

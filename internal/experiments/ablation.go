@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"sapspsgd/internal/metrics"
-	"sapspsgd/internal/trainer"
+	"sapspsgd/internal/scenario"
 )
 
 // CompressionSweep trains SAPS-PSGD at several compression ratios on one
@@ -24,10 +24,7 @@ func CompressionSweep(w Workload, n int, ratios []float64, seed uint64) (*metric
 		if err != nil {
 			return nil, err
 		}
-		res := trainer.Run(alg, bw, trainer.Config{
-			Rounds: wc.Rounds, EvalEvery: wc.Rounds / 4, Valid: valid,
-		})
-		f := res.Final()
+		f := scenario.Train(alg, bw, wc.Rounds, scenario.RunOptions{EvalEvery: wc.Rounds / 4, Valid: valid}).Final()
 		t.Add(metrics.F(c), metrics.Pct(f.ValAcc), metrics.F(f.TrafficMB), metrics.F(f.TimeSec))
 	}
 	return t, nil
@@ -46,10 +43,7 @@ func PeerSelectionAblation(w Workload, n int, seed uint64) (*metrics.Table, erro
 		if err != nil {
 			return nil, err
 		}
-		res := trainer.Run(alg, bw, trainer.Config{
-			Rounds: w.Rounds, EvalEvery: w.Rounds / 4, Valid: valid,
-		})
-		f := res.Final()
+		f := scenario.Train(alg, bw, w.Rounds, scenario.RunOptions{EvalEvery: w.Rounds / 4, Valid: valid}).Final()
 		t.Add(name, metrics.Pct(f.ValAcc), metrics.F(f.TrafficMB), metrics.F(f.TimeSec))
 	}
 	return t, nil
@@ -73,14 +67,11 @@ func LocalStepsSweep(w Workload, n int, stepsList []int, seed uint64) (*metrics.
 		if rounds < 1 {
 			rounds = 1
 		}
-		alg, err := buildSAPSWithLocalSteps(w, n, bw, seed, steps)
+		alg, err := buildAlgorithm("SAPS-PSGD", w, n, bw, seed, false, steps)
 		if err != nil {
 			return nil, err
 		}
-		res := trainer.Run(alg, bw, trainer.Config{
-			Rounds: rounds, EvalEvery: max(1, rounds/4), Valid: valid,
-		})
-		f := res.Final()
+		f := scenario.Train(alg, bw, rounds, scenario.RunOptions{EvalEvery: max(1, rounds/4), Valid: valid}).Final()
 		t.Add(fmt.Sprintf("%d", steps), fmt.Sprintf("%d", rounds), metrics.Pct(f.ValAcc), metrics.F(f.TrafficMB))
 	}
 	return t, nil

@@ -95,8 +95,8 @@ func Fig5ThirtyTwo(iters int, seed uint64) map[string][]float64 {
 	}.Run()
 }
 
-// MeanOf returns the mean of a series (summary statistic reported in
-// EXPERIMENTS.md).
+// MeanOf returns the mean of a series (the Fig. 5 summary statistic; see
+// DESIGN.md §5).
 func MeanOf(s []float64) float64 {
 	if len(s) == 0 {
 		return 0

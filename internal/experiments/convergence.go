@@ -6,7 +6,7 @@ import (
 
 	"sapspsgd/internal/metrics"
 	"sapspsgd/internal/netsim"
-	"sapspsgd/internal/trainer"
+	"sapspsgd/internal/scenario"
 )
 
 // ConvergenceSuite is the shared engine behind Fig. 3 (accuracy vs epoch),
@@ -28,44 +28,38 @@ type ConvergenceSuite struct {
 	NonIID bool
 }
 
-// Run executes the suite and returns one Result per algorithm.
-func (s ConvergenceSuite) Run() ([]trainer.Result, error) {
+// Run executes the suite and returns one run per algorithm.
+func (s ConvergenceSuite) Run() ([]*scenario.RunOutput, error) {
 	names := s.Algorithms
 	if len(names) == 0 {
 		names = AlgorithmNames
 	}
 	bw := EnvN(s.N, s.Seed)
 	_, valid := s.Workload.Dataset()
-	batchesPerEpoch := s.Workload.TrainSamples / s.N / s.Workload.Batch
-	if batchesPerEpoch < 1 {
-		batchesPerEpoch = 1
-	}
-	out := make([]trainer.Result, 0, len(names))
+	out := make([]*scenario.RunOutput, 0, len(names))
 	for _, name := range names {
 		alg, err := BuildAlgorithmSharded(name, s.Workload, s.N, bw, s.Seed, s.NonIID)
 		if err != nil {
 			return nil, err
 		}
-		res := trainer.Run(alg, bw, trainer.Config{
-			Rounds:          s.Workload.Rounds,
-			EvalEvery:       s.EvalEvery,
-			Valid:           valid,
-			BatchesPerEpoch: batchesPerEpoch,
-		})
-		out = append(out, res)
+		out = append(out, scenario.Train(alg, bw, s.Workload.Rounds, scenario.RunOptions{
+			EvalEvery: s.EvalEvery,
+			Valid:     valid,
+		}))
 	}
 	return out, nil
 }
 
-// WriteFig3 renders the accuracy-vs-epoch series (Fig. 3) as CSV.
-func WriteFig3(w io.Writer, results []trainer.Result) {
+// WriteFig3 renders the accuracy series of Fig. 3 as CSV, one row per
+// evaluation point (the figure's epoch axis is the evaluation index).
+func WriteFig3(w io.Writer, results []*scenario.RunOutput) {
 	fmt.Fprintf(w, "# Fig. 3: top-1 validation accuracy vs epoch\n")
 	names := make([]string, 0, len(results))
 	series := map[string][]float64{}
 	for _, r := range results {
 		names = append(names, r.Algorithm)
 		var accs []float64
-		for _, rec := range r.Records {
+		for _, rec := range r.Evals {
 			accs = append(accs, rec.ValAcc)
 		}
 		series[r.Algorithm] = accs
@@ -75,29 +69,29 @@ func WriteFig3(w io.Writer, results []trainer.Result) {
 
 // WriteFig4 renders accuracy vs per-worker communication size (Fig. 4): for
 // each algorithm, pairs of (traffic MB, accuracy).
-func WriteFig4(w io.Writer, results []trainer.Result) {
+func WriteFig4(w io.Writer, results []*scenario.RunOutput) {
 	fmt.Fprintf(w, "# Fig. 4: accuracy vs per-worker communication size (MB)\n")
 	fmt.Fprintln(w, "algorithm,traffic_mb,accuracy")
 	for _, r := range results {
-		for _, rec := range r.Records {
+		for _, rec := range r.Evals {
 			fmt.Fprintf(w, "%s,%s,%s\n", r.Algorithm, metrics.F(rec.TrafficMB), metrics.F(rec.ValAcc))
 		}
 	}
 }
 
 // WriteFig6 renders accuracy vs simulated communication time (Fig. 6).
-func WriteFig6(w io.Writer, results []trainer.Result) {
+func WriteFig6(w io.Writer, results []*scenario.RunOutput) {
 	fmt.Fprintf(w, "# Fig. 6: accuracy vs communication time (s)\n")
 	fmt.Fprintln(w, "algorithm,comm_time_s,accuracy")
 	for _, r := range results {
-		for _, rec := range r.Records {
+		for _, rec := range r.Evals {
 			fmt.Fprintf(w, "%s,%s,%s\n", r.Algorithm, metrics.F(rec.TimeSec), metrics.F(rec.ValAcc))
 		}
 	}
 }
 
 // Table3 builds the final-accuracy comparison (Table III).
-func Table3(workload string, results []trainer.Result) *metrics.Table {
+func Table3(workload string, results []*scenario.RunOutput) *metrics.Table {
 	t := metrics.NewTable(fmt.Sprintf("Table III (%s): final top-1 validation accuracy", workload),
 		"Algorithm", "Accuracy")
 	for _, r := range results {
@@ -107,7 +101,7 @@ func Table3(workload string, results []trainer.Result) *metrics.Table {
 }
 
 // Table4 builds the traffic/time-at-target comparison (Table IV).
-func Table4(workload string, target float64, results []trainer.Result) *metrics.Table {
+func Table4(workload string, target float64, results []*scenario.RunOutput) *metrics.Table {
 	t := metrics.NewTable(
 		fmt.Sprintf("Table IV (%s): traffic and time to reach %s accuracy", workload, metrics.Pct(target)),
 		"Algorithm", "Traffic (MB)", "Comm time (s)", "Reached")
@@ -138,7 +132,7 @@ func Table2() *metrics.Table {
 
 // TrafficSummary reports the per-worker and server traffic of each run —
 // the measured counterpart of the Table I cost model.
-func TrafficSummary(results []trainer.Result) *metrics.Table {
+func TrafficSummary(results []*scenario.RunOutput) *metrics.Table {
 	t := metrics.NewTable("Measured traffic after full run",
 		"Algorithm", "Mean worker traffic (MB)", "Max worker traffic (MB)", "Server traffic (MB)", "Comm time (s)")
 	for _, r := range results {

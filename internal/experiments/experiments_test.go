@@ -7,7 +7,7 @@ import (
 
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
-	"sapspsgd/internal/trainer"
+	"sapspsgd/internal/scenario"
 )
 
 // quickWorkload is a miniature task so the full 7-algorithm suite runs in
@@ -188,7 +188,7 @@ func TestMeasuredSAPSTrafficMatchesTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := trainer.Run(alg, bw, trainer.Config{Rounds: w.Rounds, EvalEvery: w.Rounds})
+	res := scenario.Train(alg, bw, w.Rounds, scenario.RunOptions{})
 	dim := alg.Models()[0].ParamCount()
 	p := NewCostParams(n, dim, w.ratios().SAPS, w.Rounds, 2)
 	wantMB := WorkerCostValues(p)["SAPS-PSGD"] * 4 / 1e6

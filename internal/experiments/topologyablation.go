@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"sapspsgd/internal/algos"
-	"sapspsgd/internal/dataset"
 	"sapspsgd/internal/metrics"
-	"sapspsgd/internal/nn"
 	"sapspsgd/internal/rng"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/spectral"
 	"sapspsgd/internal/topology"
-	"sapspsgd/internal/trainer"
 )
 
 // TopologyAblation compares D-PSGD across static topologies and SAPS-PSGD's
@@ -38,25 +36,11 @@ func TopologyAblation(w Workload, n int, seed uint64) (*metrics.Table, error) {
 
 	bw := EnvN(n, seed)
 	_, valid := w.Dataset()
-	tr, _ := w.Dataset()
-	newFleetCfg := func() algos.FleetConfig {
-		return algos.FleetConfig{
-			N:       n,
-			Factory: func() *nn.Model { return w.Factory(seed) },
-			Shards:  dataset.PartitionIID(tr, n, seed),
-			LR:      w.LR,
-			Batch:   w.Batch,
-			Seed:    seed,
-		}
-	}
-
+	opts := scenario.RunOptions{EvalEvery: w.Rounds / 4, Valid: valid}
 	for _, tp := range tops {
 		rho := spectral.SecondLargestEigenvalue(topology.MetropolisW(tp), 500)
-		alg := algos.NewDPSGDTopology(newFleetCfg(), tp)
-		res := trainer.Run(alg, bw, trainer.Config{
-			Rounds: w.Rounds, EvalEvery: w.Rounds / 4, Valid: valid,
-		})
-		f := res.Final()
+		alg := algos.NewDPSGDTopology(w.fleetConfig(n, seed, false), tp)
+		f := scenario.Train(alg, bw, w.Rounds, opts).Final()
 		t.Add(alg.Name(), metrics.F(rho), metrics.Pct(f.ValAcc), metrics.F(f.TrafficMB), metrics.F(f.TimeSec))
 	}
 
@@ -67,10 +51,7 @@ func TopologyAblation(w Workload, n int, seed uint64) (*metrics.Table, error) {
 		return nil, err
 	}
 	diag := DiagnoseGossip(bw, defaultGossipConfig(bw), 1/w.ratios().SAPS, 100, seed)
-	res := trainer.Run(saps, bw, trainer.Config{
-		Rounds: w.Rounds, EvalEvery: w.Rounds / 4, Valid: valid,
-	})
-	f := res.Final()
+	f := scenario.Train(saps, bw, w.Rounds, opts).Final()
 	t.Add("SAPS-PSGD (dynamic)", metrics.F(diag.Rho), metrics.Pct(f.ValAcc), metrics.F(f.TrafficMB), metrics.F(f.TimeSec))
 	return t, nil
 }

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"sapspsgd/internal/algos"
 	"sapspsgd/internal/core"
@@ -70,7 +71,8 @@ func (w Workload) ratios() Ratios {
 	return r
 }
 
-// Scale multiplies the round budget (for quick benches vs full runs).
+// WithRounds returns the workload with its round budget replaced (for quick
+// benches vs full runs).
 func (w Workload) WithRounds(rounds int) Workload {
 	w.Rounds = rounds
 	return w
@@ -187,12 +189,18 @@ const (
 // BuildAlgorithm constructs one of the named algorithms over the workload's
 // fleet with IID shards.
 func BuildAlgorithm(name string, w Workload, n int, bw *netsim.Bandwidth, seed uint64) (algos.Algorithm, error) {
-	return BuildAlgorithmSharded(name, w, n, bw, seed, false)
+	return buildAlgorithm(name, w, n, bw, seed, false, 1)
 }
 
 // BuildAlgorithmSharded additionally selects the data partition: IID or
 // label-sharded non-IID (two label shards per worker).
 func BuildAlgorithmSharded(name string, w Workload, n int, bw *netsim.Bandwidth, seed uint64, nonIID bool) (algos.Algorithm, error) {
+	return buildAlgorithm(name, w, n, bw, seed, nonIID, 1)
+}
+
+// fleetConfig is the workload's n-worker fleet: IID shards, or two label
+// shards per worker when nonIID is set.
+func (w Workload) fleetConfig(n int, seed uint64, nonIID bool) algos.FleetConfig {
 	tr, _ := w.Dataset()
 	var shards []*dataset.Dataset
 	if nonIID {
@@ -200,7 +208,7 @@ func BuildAlgorithmSharded(name string, w Workload, n int, bw *netsim.Bandwidth,
 	} else {
 		shards = dataset.PartitionIID(tr, n, seed)
 	}
-	fc := algos.FleetConfig{
+	return algos.FleetConfig{
 		N:       n,
 		Factory: func() *nn.Model { return w.Factory(seed) },
 		Shards:  shards,
@@ -208,13 +216,20 @@ func BuildAlgorithmSharded(name string, w Workload, n int, bw *netsim.Bandwidth,
 		Batch:   w.Batch,
 		Seed:    seed,
 	}
+}
+
+// buildAlgorithm constructs the named algorithm; localSteps is the number of
+// local SGD steps per SAPS communication round (the local-steps ablation's
+// axis; every other caller passes 1).
+func buildAlgorithm(name string, w Workload, n int, bw *netsim.Bandwidth, seed uint64, nonIID bool, localSteps int) (algos.Algorithm, error) {
+	fc := w.fleetConfig(n, seed, nonIID)
 	ratios := w.ratios()
 	sapsCfg := core.Config{
 		Workers:     n,
 		Compression: ratios.SAPS,
 		LR:          w.LR,
 		Batch:       w.Batch,
-		LocalSteps:  1,
+		LocalSteps:  localSteps,
 		Gossip:      defaultGossipConfig(bw),
 		Seed:        seed,
 	}
@@ -248,30 +263,6 @@ func BuildAlgorithmSharded(name string, w Workload, n int, bw *netsim.Bandwidth,
 	}
 }
 
-// buildSAPSWithLocalSteps builds SAPS with a non-default number of local
-// SGD steps per communication round (used by the local-steps ablation).
-func buildSAPSWithLocalSteps(w Workload, n int, bw *netsim.Bandwidth, seed uint64, localSteps int) (algos.Algorithm, error) {
-	tr, _ := w.Dataset()
-	fc := algos.FleetConfig{
-		N:       n,
-		Factory: func() *nn.Model { return w.Factory(seed) },
-		Shards:  dataset.PartitionIID(tr, n, seed),
-		LR:      w.LR,
-		Batch:   w.Batch,
-		Seed:    seed,
-	}
-	cfg := core.Config{
-		Workers:     n,
-		Compression: w.ratios().SAPS,
-		LR:          w.LR,
-		Batch:       w.Batch,
-		LocalSteps:  localSteps,
-		Gossip:      gossip.Config{BThres: bandwidthThreshold(bw), TThres: 10},
-		Seed:        seed,
-	}
-	return algos.NewSAPS(fc, bw, cfg), nil
-}
-
 // defaultGossipConfig is the Algorithm 3 configuration the experiment suite
 // uses: 60th-percentile bandwidth threshold, 10-round recency window.
 func defaultGossipConfig(bw *netsim.Bandwidth) gossip.Config {
@@ -291,13 +282,7 @@ func bandwidthThreshold(bw *netsim.Bandwidth) float64 {
 	if len(all) == 0 {
 		return 0
 	}
-	// Quickselect-free percentile: simple insertion into a sorted copy is
-	// fine at n<=32 (496 links).
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j] < all[j-1]; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
+	sort.Float64s(all)
 	return all[int(0.6*float64(len(all)))]
 }
 

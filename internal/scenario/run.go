@@ -18,6 +18,7 @@ import (
 	"sapspsgd/internal/obs"
 	"sapspsgd/internal/profiling"
 	"sapspsgd/internal/rng"
+	"sapspsgd/internal/tensor"
 	"sapspsgd/internal/trace"
 )
 
@@ -290,6 +291,13 @@ type RunOptions struct {
 	// RunOutput.Params — the determinism gate's model artifact. Only async
 	// runs honor the flag.
 	Params bool
+	// Valid is the held-out set synchronous runs evaluate the
+	// worker-averaged model on, into RunOutput.Evals. Nil disables
+	// evaluation.
+	Valid *dataset.Dataset
+	// EvalEvery evaluates every this many rounds and always on the final
+	// round (with Valid only). Values < 1 default to rounds/20, at least 1.
+	EvalEvery int
 }
 
 // RunOutput is one execution's full yield: the BENCH-row Result plus the
@@ -317,6 +325,46 @@ type RunOutput struct {
 	// SentBytes and RecvBytes are the per-rank cumulative byte ledgers
 	// (async runs only; synchronous runs read them off the netsim ledger).
 	SentBytes, RecvBytes []int64
+	// Algorithm is the trained algorithm's name (synchronous runs only).
+	Algorithm string
+	// Ledger is the synchronous run's traffic and simulated-time ledger.
+	Ledger *netsim.Ledger
+	// Evals is the evaluation series (RunOptions.Valid only).
+	Evals []Eval
+}
+
+// Eval is one evaluation point of a run.
+type Eval struct {
+	Round     int
+	TrainLoss float64
+	ValLoss   float64
+	ValAcc    float64
+	// TrafficMB is the mean cumulative per-worker communication volume in
+	// megabytes (the x-axis of Fig. 4).
+	TrafficMB float64
+	// TimeSec is the cumulative simulated communication time in seconds
+	// (the x-axis of Fig. 6).
+	TimeSec float64
+}
+
+// Final returns the last evaluation (zero value if none).
+func (o *RunOutput) Final() Eval {
+	if len(o.Evals) == 0 {
+		return Eval{}
+	}
+	return o.Evals[len(o.Evals)-1]
+}
+
+// FirstReaching returns the first evaluation with ValAcc >= target, and
+// whether one exists — the "traffic/time to reach target accuracy" query of
+// Table IV.
+func (o *RunOutput) FirstReaching(target float64) (Eval, bool) {
+	for _, e := range o.Evals {
+		if e.ValAcc >= target {
+			return e, true
+		}
+	}
+	return Eval{}, false
 }
 
 // RunFull builds and executes the scenario against a bandwidth-accounted
@@ -339,8 +387,31 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.runSync(alg, bw, env, opts), nil
+}
+
+// Train steps an already built algorithm for the given number of rounds
+// against a fresh ledger over bw: the loop RunFull runs for a synchronous
+// spec, without a per-round environment. The run is named after the
+// algorithm in the obs tracker and the run-summary log. Evaluation, series
+// and tracing follow opts; opts.Shards only labels Result.Shards. The
+// algorithm's background resources are released when the run completes, so
+// alg cannot be stepped again (its models stay readable).
+func Train(alg algos.Algorithm, bw *netsim.Bandwidth, rounds int, opts RunOptions) *RunOutput {
+	if rounds < 1 {
+		panic(fmt.Sprintf("scenario: Train rounds %d", rounds))
+	}
+	s := &Spec{Name: alg.Name(), Algo: alg.Name(), Nodes: bw.N, Rounds: rounds}
+	return s.runSync(alg, bw, nil, opts)
+}
+
+// runSync is the synchronous round loop, the only place an
+// algos.Algorithm is stepped round by round: it ticks env (nil when the
+// environment is static) at each round boundary, steps alg against a ledger
+// over bw, and evaluates and records what opts ask for.
+func (s *Spec) runSync(alg algos.Algorithm, bw *netsim.Bandwidth, env *roundEnv, opts RunOptions) *RunOutput {
 	profiling.ResetPeakRSS()
-	out := &RunOutput{}
+	out := &RunOutput{Algorithm: alg.Name()}
 	if opts.Series {
 		// The series lengths are known up front; preallocating keeps the
 		// round loop free of append regrowth (which would otherwise copy
@@ -359,6 +430,11 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 		}
 	}
 	led := netsim.NewLedger(bw)
+	out.Ledger = led
+	evalEvery := opts.EvalEvery
+	if evalEvery < 1 {
+		evalEvery = max(1, s.Rounds/20)
+	}
 	ri := obs.Current().RunsM().Start(s.Name, s.Algo, s.Nodes, s.Rounds)
 	var loss float64
 	start := time.Now()
@@ -369,6 +445,17 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 		env.tick(r)
 		loss = alg.Step(r, led)
 		ri.SetRound(r + 1)
+		if opts.Valid != nil && ((r+1)%evalEvery == 0 || r == s.Rounds-1) {
+			vl, va := evalMean(alg.Models(), opts.Valid)
+			out.Evals = append(out.Evals, Eval{
+				Round:     r + 1,
+				TrainLoss: loss,
+				ValLoss:   vl,
+				ValAcc:    va,
+				TrafficMB: led.MeanWorkerTrafficMB(),
+				TimeSec:   led.TotalTime(),
+			})
+		}
 		if opts.Series {
 			out.Losses = append(out.Losses, loss)
 			out.CumBytes = append(out.CumBytes, fleetBytes(led, s.Nodes))
@@ -392,7 +479,7 @@ func (s *Spec) RunFull(opts RunOptions) (*RunOutput, error) {
 		out.Result.RoundsPerSec = float64(s.Rounds) / wall
 	}
 	s.logRunSummary("sync", out)
-	return out, nil
+	return out
 }
 
 // runPlannerOnly executes the coordinator side alone: Algorithm 3 planning,
@@ -593,4 +680,35 @@ func fleetBytes(led *netsim.Ledger, nodes int) int64 {
 		total += snt + rcv
 	}
 	return total + led.ServerBytes()
+}
+
+// evalMean evaluates the parameter average of the given models on the
+// validation set, using the first model's instance (and hence its
+// normalization running statistics) as the evaluation vehicle. The model's
+// parameters are restored afterwards.
+func evalMean(models []*nn.Model, valid *dataset.Dataset) (loss, acc float64) {
+	if len(models) == 0 {
+		return 0, 0
+	}
+	host := models[0]
+	if len(models) == 1 {
+		return nn.EvaluateDataset(host, valid, 128)
+	}
+	dim := host.ParamCount()
+	mean := tensor.GetVec(dim)
+	flat := tensor.GetVecRaw(dim)  // fully written by FlatParams
+	saved := tensor.GetVecRaw(dim) // fully written by FlatParams
+	defer func() {
+		tensor.PutVec(mean)
+		tensor.PutVec(flat)
+		tensor.PutVec(saved)
+	}()
+	for _, m := range models {
+		tensor.Axpy(1/float64(len(models)), m.FlatParams(flat), mean)
+	}
+	saved = host.FlatParams(saved)
+	host.SetFlatParams(mean)
+	loss, acc = nn.EvaluateDataset(host, valid, 128)
+	host.SetFlatParams(saved)
+	return loss, acc
 }

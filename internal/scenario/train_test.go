@@ -1,4 +1,4 @@
-package trainer
+package scenario
 
 import (
 	"testing"
@@ -12,7 +12,7 @@ import (
 	"sapspsgd/internal/rng"
 )
 
-func setup(t *testing.T, n int) (algos.FleetConfig, *netsim.Bandwidth, *dataset.Dataset) {
+func trainSetup(t *testing.T, n int) (algos.FleetConfig, *netsim.Bandwidth, *dataset.Dataset) {
 	t.Helper()
 	tr, va := dataset.TinyTask(400, 4, 31)
 	shards := dataset.PartitionIID(tr, n, 1)
@@ -29,29 +29,24 @@ func setup(t *testing.T, n int) (algos.FleetConfig, *netsim.Bandwidth, *dataset.
 
 func TestRunProducesMonotoneSeries(t *testing.T) {
 	const n = 6
-	fc, bw, va := setup(t, n)
+	fc, bw, va := trainSetup(t, n)
 	cfg := core.Config{
 		Workers: n, Compression: 4, LR: 0.1, Batch: 16, LocalSteps: 1,
 		Gossip: gossip.Config{BThres: 2, TThres: 5}, Seed: 3,
 	}
-	res := Run(algos.NewSAPS(fc, bw, cfg), bw, Config{
-		Rounds: 120, EvalEvery: 20, Valid: va, BatchesPerEpoch: 4,
-	})
+	res := Train(algos.NewSAPS(fc, bw, cfg), bw, 120, RunOptions{EvalEvery: 20, Valid: va})
 	if res.Algorithm != "SAPS-PSGD" {
 		t.Fatalf("Algorithm = %q", res.Algorithm)
 	}
-	if len(res.Records) != 6 {
-		t.Fatalf("got %d records, want 6", len(res.Records))
+	if len(res.Evals) != 6 {
+		t.Fatalf("got %d records, want 6", len(res.Evals))
 	}
 	prevTraffic, prevTime := -1.0, -1.0
-	for _, r := range res.Records {
+	for _, r := range res.Evals {
 		if r.TrafficMB < prevTraffic || r.TimeSec < prevTime {
 			t.Fatalf("traffic/time not monotone: %+v", r)
 		}
 		prevTraffic, prevTime = r.TrafficMB, r.TimeSec
-		if r.Epoch <= 0 {
-			t.Fatalf("epoch not filled: %+v", r)
-		}
 	}
 	final := res.Final()
 	if final.Round != 120 {
@@ -66,7 +61,7 @@ func TestRunProducesMonotoneSeries(t *testing.T) {
 }
 
 func TestFirstReaching(t *testing.T) {
-	res := Result{Records: []Record{
+	res := &RunOutput{Evals: []Eval{
 		{Round: 10, ValAcc: 0.3, TrafficMB: 1},
 		{Round: 20, ValAcc: 0.7, TrafficMB: 2},
 		{Round: 30, ValAcc: 0.9, TrafficMB: 3},
@@ -81,7 +76,7 @@ func TestFirstReaching(t *testing.T) {
 }
 
 func TestEvalMeanRestoresHostParams(t *testing.T) {
-	fc, _, va := setup(t, 3)
+	fc, _, va := trainSetup(t, 3)
 	f := algos.NewFleet(fc)
 	before := f.Models[0].FlatParams(nil)
 	// Make models differ so the mean is distinct from model 0.
@@ -90,31 +85,17 @@ func TestEvalMeanRestoresHostParams(t *testing.T) {
 		p1[i] += 1
 	}
 	f.Models[1].SetFlatParams(p1)
-	EvalMean(f.Models, va)
+	evalMean(f.Models, va)
 	after := f.Models[0].FlatParams(nil)
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatal("EvalMean did not restore host parameters")
+			t.Fatal("evalMean did not restore host parameters")
 		}
 	}
 }
 
-func TestConsensusZeroForIdenticalModels(t *testing.T) {
-	fc, _, _ := setup(t, 3)
-	f := algos.NewFleet(fc)
-	if c := Consensus(f.Models); c > 1e-20 {
-		t.Fatalf("identical models consensus = %v", c)
-	}
-	p := f.Models[0].FlatParams(nil)
-	p[0] += 3
-	f.Models[0].SetFlatParams(p)
-	if c := Consensus(f.Models); c <= 0 {
-		t.Fatalf("perturbed consensus = %v", c)
-	}
-}
-
 func TestEmptyModelsEval(t *testing.T) {
-	loss, acc := EvalMean(nil, nil)
+	loss, acc := evalMean(nil, nil)
 	if loss != 0 || acc != 0 {
 		t.Fatal("empty eval should be zero")
 	}

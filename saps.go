@@ -7,8 +7,9 @@
 //
 // This root package is the public façade. The three ways to use the library:
 //
-//   - Simulation: build an algorithm with BuildAlgorithm (or NewSAPS for the
-//     paper's algorithm alone) and drive it with Run — all traffic and
+//   - Simulation: build an algorithm (NewSAPS for the paper's algorithm, or
+//     one of the baseline constructors) and train it with Run, the same
+//     synchronous round loop that executes scenario specs — all traffic and
 //     communication time is accounted against a bandwidth environment such
 //     as FourteenCities or RandomUniform.
 //
@@ -28,8 +29,8 @@
 // ledger back it. See DESIGN.md §2 for the layering and for how to add a
 // new backend.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// See DESIGN.md for the system inventory and DESIGN.md §5 for the
+// experiment index.
 package sapspsgd
 
 import (
@@ -42,7 +43,7 @@ import (
 	"sapspsgd/internal/netsim"
 	"sapspsgd/internal/nn"
 	"sapspsgd/internal/rng"
-	"sapspsgd/internal/trainer"
+	"sapspsgd/internal/scenario"
 	"sapspsgd/internal/transport"
 )
 
@@ -65,12 +66,13 @@ type (
 	Algorithm = algos.Algorithm
 	// FleetConfig describes a set of identically initialized workers.
 	FleetConfig = algos.FleetConfig
-	// TrainConfig controls a simulated run.
-	TrainConfig = trainer.Config
+	// RunOptions controls a simulated run (evaluation set and cadence,
+	// series, tracing).
+	RunOptions = scenario.RunOptions
+	// RunOutput is a full run's evaluation series plus its traffic ledger.
+	RunOutput = scenario.RunOutput
 	// Record is one evaluation point (round, accuracy, traffic, time).
-	Record = trainer.Record
-	// Result is a full run's series plus its traffic ledger.
-	Result = trainer.Result
+	Record = scenario.Eval
 	// Bandwidth is a symmetric pairwise link-speed environment.
 	Bandwidth = netsim.Bandwidth
 	// Ledger accounts bytes and simulated communication time.
@@ -157,7 +159,7 @@ func NewWorker(rank int, model *Model, shard *Dataset, cfg Config) *Worker {
 }
 
 // NewSAPS assembles the full SAPS-PSGD algorithm (coordinator + n workers)
-// ready for the Run harness.
+// ready for Run.
 func NewSAPS(fc FleetConfig, bw *Bandwidth, cfg Config) Algorithm {
 	return algos.NewSAPS(fc, bw, cfg)
 }
@@ -196,10 +198,11 @@ func NewPSPSGD(fc FleetConfig, bw *Bandwidth) Algorithm { return algos.NewPSPSGD
 // NewQSGDPSGD is PSGD with QSGD-quantized gradient all-gather.
 func NewQSGDPSGD(fc FleetConfig, levels int) Algorithm { return algos.NewQSGDPSGD(fc, levels) }
 
-// Run trains any Algorithm over the bandwidth environment, evaluating the
-// worker-averaged model periodically.
-func Run(alg Algorithm, bw *Bandwidth, cfg TrainConfig) Result {
-	return trainer.Run(alg, bw, cfg)
+// Run trains any Algorithm for the given number of rounds over the
+// bandwidth environment, evaluating the worker-averaged model on
+// opts.Valid every opts.EvalEvery rounds and on the last.
+func Run(alg Algorithm, bw *Bandwidth, rounds int, opts RunOptions) *RunOutput {
+	return scenario.Train(alg, bw, rounds, opts)
 }
 
 // FourteenCities returns the paper's measured 14-city bandwidth matrix

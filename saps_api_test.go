@@ -28,7 +28,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		LR: cfg.LR, Batch: cfg.Batch, Seed: 1,
 	}, bw, cfg)
 
-	res := saps.Run(alg, bw, saps.TrainConfig{Rounds: 30, EvalEvery: 10, Valid: valid})
+	res := saps.Run(alg, bw, 30, saps.RunOptions{EvalEvery: 10, Valid: valid})
 	if res.Algorithm != "SAPS-PSGD" {
 		t.Fatalf("Algorithm = %q", res.Algorithm)
 	}
@@ -71,8 +71,8 @@ func TestPublicAPIBaselines(t *testing.T) {
 		saps.NewRandomChoose(fc, bw, cfg),
 	}
 	for _, alg := range algs {
-		res := saps.Run(alg, bw, saps.TrainConfig{Rounds: 10, EvalEvery: 10, Valid: valid})
-		if len(res.Records) == 0 {
+		res := saps.Run(alg, bw, 10, saps.RunOptions{EvalEvery: 10, Valid: valid})
+		if len(res.Evals) == 0 {
 			t.Fatalf("%s: no records", alg.Name())
 		}
 	}
