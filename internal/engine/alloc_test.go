@@ -24,7 +24,7 @@ func fillDeterministic(x []float64, seed uint64) {
 }
 
 // TestCodecZeroAlloc locks in the zero-allocation steady state of every
-// codec's Encode and, where DecodeInto exists, its decode path. The round
+// codec's Encode and, where DecodeInto or DecodeAdd exists, its decode path. The round
 // context is held fixed so the masked codec's payload population count (a
 // per-round Bernoulli draw, inherently variable-size) stays put too.
 func TestCodecZeroAlloc(t *testing.T) {
@@ -87,6 +87,17 @@ func TestCodecZeroAlloc(t *testing.T) {
 			}
 			if allocs != 0 {
 				t.Errorf("steady-state decode allocates %.1f times per call, want 0", allocs)
+			}
+			if a, ok := tc.codec.(engine.DecodeAdder); ok {
+				sum := make([]float64, dim)
+				allocs = testing.AllocsPerRun(10, func() {
+					if err := a.DecodeAdd(sum, ctx, words); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("DecodeAdd allocates %.1f times per call, want 0", allocs)
+				}
 			}
 		})
 	}
@@ -179,7 +190,8 @@ func (n *allocNode) Merge(_ engine.RoundContext, msgs []engine.PeerMsg) error {
 
 // TestShardedRoundZeroAlloc drives the sharded runtime's full round loop —
 // plan, phases, report aggregation, ledger charge — and requires the steady
-// state to allocate nothing, per codec family. The masked codec is exempt by
+// state to allocate nothing, per codec family over the pairwise exchange and
+// for top-k over the all-gather. The masked codec is exempt by
 // design: its payload length is a per-round Bernoulli population count, so a
 // round may legitimately grow the payload buffer past any previous high-water
 // mark.
@@ -198,12 +210,15 @@ func TestShardedRoundZeroAlloc(t *testing.T) {
 	})
 
 	for _, tc := range []struct {
-		name  string
-		codec func(rank int) engine.Codec
+		name    string
+		codec   func(rank int) engine.Codec
+		pattern engine.Pattern
 	}{
-		{"dense", func(int) engine.Codec { return engine.Dense{} }},
-		{"topk", func(int) engine.Codec { return engine.NewTopK(8, dim, true) }},
-		{"qsgd", func(rank int) engine.Codec { return engine.NewQSGDCodec(127, uint64(rank)+1) }},
+		{"dense", func(int) engine.Codec { return engine.Dense{} }, engine.Pairwise{}},
+		{"topk", func(int) engine.Codec { return engine.NewTopK(8, dim, true) }, engine.Pairwise{}},
+		{"qsgd", func(rank int) engine.Codec { return engine.NewQSGDCodec(127, uint64(rank)+1) }, engine.Pairwise{}},
+		// The all-gather receive path: DecodeAdd into the rank's sum.
+		{"allgather-topk", func(int) engine.Codec { return engine.NewTopK(8, dim, true) }, engine.AllGather{}},
 	} {
 		for _, shards := range []int{1, 2} {
 			t.Run(tc.name+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
@@ -213,7 +228,7 @@ func TestShardedRoundZeroAlloc(t *testing.T) {
 					nodes[r] = newAllocNode(dim, uint64(r))
 					codecs[r] = tc.codec(r)
 				}
-				eng := engine.New(engine.Options{Nodes: nodes, Codecs: codecs, Pattern: engine.Pairwise{}, Planner: planner, Shards: shards})
+				eng := engine.New(engine.Options{Nodes: nodes, Codecs: codecs, Pattern: tc.pattern, Planner: planner, Shards: shards})
 				defer eng.Close()
 				led := &engine.CountingLedger{}
 				led.Reserve(n, rounds)

@@ -54,13 +54,23 @@ type DecoderInto interface {
 	DecodeInto(dst []float64, ctx RoundContext, words []float64) ([]float64, error)
 }
 
-// decodeWith dispatches to DecodeInto when the codec offers it (reusing dst)
-// and falls back to the allocating Decode otherwise.
-func decodeWith(c Codec, dst []float64, ctx RoundContext, words []float64) ([]float64, error) {
-	if d, ok := c.(DecoderInto); ok {
-		return d.DecodeInto(dst, ctx, words)
-	}
-	return c.Decode(ctx, words)
+// DecodeAdder is the optional Codec extension the all-gather receive path
+// uses to accumulate a sparse payload without expanding it: DecodeAdd adds
+// the vector Decode would return into dst element-wise, touching only the
+// entries the payload carries, and fails without modifying dst when the
+// words are malformed or decode to a length other than len(dst).
+// Malformed words get the same error DecodeInto returns.
+//
+// Skipping an off-support entry skips a +0 addend, and x + (+0) is x
+// bit for bit except when x is −0 (the sum is +0) or a signaling NaN (the
+// sum is quiet). A sum never yields −0 unless both addends are −0, and no
+// arithmetic result is a signaling NaN, so a receiver whose accumulator
+// starts free of −0 and NaN entries gets exactly the dense decode-then-add
+// result from DecodeAdd; one whose accumulator holds either falls back to
+// decoding (phaseRecvSumAll). Like DecodeInto it must be stateless and
+// safe for concurrent use.
+type DecodeAdder interface {
+	DecodeAdd(dst []float64, ctx RoundContext, words []float64) error
 }
 
 // ---------------------------------------------------------------------------
@@ -142,6 +152,10 @@ func (m *Masked) WireBytes(words []float64) int64 { return compress.MaskedBytes(
 // ---------------------------------------------------------------------------
 // Sparse wire words (shared by TopK and RandomK)
 
+// anyDim is the dimension a codec without its own (RandomK) passes to the
+// sparse decoders: the payload's declared dimension is taken as is.
+const anyDim = -1
+
 // packSparse lays a sparse vector out as [dim, k, idx..., val...].
 func packSparse(dst []float64, sv compress.SparseVec) []float64 {
 	k := len(sv.Idx)
@@ -154,42 +168,91 @@ func packSparse(dst []float64, sv compress.SparseVec) []float64 {
 	return dst
 }
 
+// wireCount converts a header word to a count, reporting false unless it is
+// an integer in [0, MaxInt32] (sparse indices cross the wire as 32 bits).
+func wireCount(f float64) (int, bool) {
+	if !(f >= 0 && f <= math.MaxInt32) || f != math.Trunc(f) {
+		return 0, false
+	}
+	return int(f), true
+}
+
 // SparseWords parses the sparse wire layout [dim, k, idx..., val...] used by
 // the top-k and random-k codecs. The returned index and value slices alias
 // words. Nodes that need the explicit support (e.g. the S-FedAvg server's
 // count-normalized aggregation) parse PeerMsg.Words with this.
+//
+// The header words must be integers in [0, MaxInt32], and the indices must
+// be strictly ascending integers in [0, dim): every index names one entry,
+// so a consumer may scatter the values without bounds checks of its own and
+// set and add give the same result.
 func SparseWords(words []float64) (dim int, idx []float64, vals []float64, err error) {
 	if len(words) < 2 {
 		return 0, nil, nil, fmt.Errorf("engine: sparse payload of %d words", len(words))
 	}
-	dim = int(words[0])
-	k := int(words[1])
-	if k < 0 || len(words) != 2+2*k {
-		return 0, nil, nil, fmt.Errorf("engine: sparse payload k=%d with %d words", k, len(words))
+	dim, ok := wireCount(words[0])
+	if !ok {
+		return 0, nil, nil, fmt.Errorf("engine: sparse payload dimension %v", words[0])
 	}
-	return dim, words[2 : 2+k], words[2+k:], nil
+	k, ok := wireCount(words[1])
+	if !ok || len(words) != 2+2*k {
+		return 0, nil, nil, fmt.Errorf("engine: sparse payload k=%v with %d words", words[1], len(words))
+	}
+	idx, vals = words[2:2+k], words[2+k:]
+	prev, limit := -1.0, float64(dim)
+	for i, ix := range idx {
+		if !(ix > prev && ix < limit) || ix != math.Trunc(ix) {
+			return 0, nil, nil, fmt.Errorf("engine: sparse index %v at position %d is not an ascending integer in [0, %d)", ix, i, dim)
+		}
+		prev = ix
+	}
+	return dim, idx, vals, nil
+}
+
+// sparseWordsDim is SparseWords plus the decoding codec's own dimension
+// check (skipped for anyDim), made before any caller sizes a buffer from
+// the payload's header.
+func sparseWordsDim(words []float64, want int) (dim int, idx []float64, vals []float64, err error) {
+	dim, idx, vals, err = SparseWords(words)
+	if err == nil && want != anyDim && dim != want {
+		err = fmt.Errorf("engine: sparse payload of dimension %d, codec dimension %d", dim, want)
+	}
+	return dim, idx, vals, err
 }
 
 // decodeSparse expands sparse words to a dense vector.
-func decodeSparse(words []float64) ([]float64, error) {
-	return decodeSparseInto(nil, words)
+func decodeSparse(words []float64, want int) ([]float64, error) {
+	return decodeSparseInto(nil, words, want)
 }
 
 // decodeSparseInto expands sparse words into dst (grown as needed).
-func decodeSparseInto(dst []float64, words []float64) ([]float64, error) {
-	dim, idx, vals, err := SparseWords(words)
+func decodeSparseInto(dst []float64, words []float64, want int) ([]float64, error) {
+	dim, idx, vals, err := sparseWordsDim(words, want)
 	if err != nil {
 		return nil, err
 	}
 	out := resizeZeroed(dst, dim)
 	for i, ix := range idx {
-		j := int(ix)
-		if j < 0 || j >= dim {
-			return nil, fmt.Errorf("engine: sparse index %d out of %d", j, dim)
-		}
-		out[j] = vals[i]
+		out[int(ix)] = vals[i]
 	}
 	return out, nil
+}
+
+// decodeSparseAdd adds the decoded sparse words into dst, touching only the
+// payload's support: the scatter-add behind TopK's and RandomK's DecodeAdd.
+// dst is left unchanged on error.
+func decodeSparseAdd(dst []float64, words []float64, want int) error {
+	dim, idx, vals, err := sparseWordsDim(words, want)
+	if err != nil {
+		return err
+	}
+	if dim != len(dst) {
+		return fmt.Errorf("engine: sparse payload of dimension %d added into %d values", dim, len(dst))
+	}
+	for i, ix := range idx {
+		dst[int(ix)] += vals[i]
+	}
+	return nil
 }
 
 // resizeZeroed returns a zeroed length-n slice, reusing dst's storage when it
@@ -224,6 +287,7 @@ func sparseWireBytes(words []float64) int64 {
 // Decode expands to a dense vector (zeros off-support).
 type TopK struct {
 	K     int
+	dim   int
 	useEF bool
 	ef    *compress.ErrorFeedback
 
@@ -235,12 +299,13 @@ type TopK struct {
 // NewTopK returns a top-k codec for dim-dimensional vectors; ef selects
 // error feedback. The residual buffer is allocated lazily on first Encode,
 // so the per-rank codec tables every process builds (for decoding) carry no
-// dead encoder state for the other ranks.
+// dead encoder state for the other ranks. Encode, the decoders and
+// RestoreState reject vectors of any other dimension before allocating.
 func NewTopK(k, dim int, ef bool) *TopK {
-	if k < 1 {
-		panic(fmt.Sprintf("engine: topk codec k=%d", k))
+	if k < 1 || dim < 0 {
+		panic(fmt.Sprintf("engine: topk codec k=%d dim=%d", k, dim))
 	}
-	return &TopK{K: k, useEF: ef}
+	return &TopK{K: k, dim: dim, useEF: ef}
 }
 
 // Name implements Codec.
@@ -248,6 +313,9 @@ func (t *TopK) Name() string { return "topk" }
 
 // Encode implements Codec.
 func (t *TopK) Encode(_ RoundContext, dense []float64) ([]float64, error) {
+	if len(dense) != t.dim {
+		return nil, fmt.Errorf("engine: topk encode of %d values, codec dimension %d", len(dense), t.dim)
+	}
 	var sv compress.SparseVec
 	if t.useEF {
 		if t.ef == nil {
@@ -264,12 +332,17 @@ func (t *TopK) Encode(_ RoundContext, dense []float64) ([]float64, error) {
 
 // Decode implements Codec.
 func (t *TopK) Decode(_ RoundContext, words []float64) ([]float64, error) {
-	return decodeSparse(words)
+	return decodeSparse(words, t.dim)
 }
 
 // DecodeInto implements DecoderInto: Decode into caller-owned scratch.
 func (t *TopK) DecodeInto(dst []float64, _ RoundContext, words []float64) ([]float64, error) {
-	return decodeSparseInto(dst, words)
+	return decodeSparseInto(dst, words, t.dim)
+}
+
+// DecodeAdd implements DecodeAdder: a scatter-add over the support.
+func (t *TopK) DecodeAdd(dst []float64, _ RoundContext, words []float64) error {
+	return decodeSparseAdd(dst, words, t.dim)
 }
 
 // WireBytes implements Codec.
@@ -304,6 +377,9 @@ func (t *TopK) RestoreState(data []byte) error {
 	}
 	if !t.useEF {
 		return fmt.Errorf("engine: topk snapshot carries a residual but error feedback is disabled")
+	}
+	if len(st.Residual) != t.dim {
+		return fmt.Errorf("engine: topk snapshot residual of %d values, codec dimension %d", len(st.Residual), t.dim)
 	}
 	if t.ef == nil || len(t.ef.Residual()) != len(st.Residual) {
 		t.ef = compress.NewErrorFeedback(len(st.Residual))
@@ -352,12 +428,17 @@ func (r *RandomK) Encode(_ RoundContext, dense []float64) ([]float64, error) {
 
 // Decode implements Codec.
 func (r *RandomK) Decode(_ RoundContext, words []float64) ([]float64, error) {
-	return decodeSparse(words)
+	return decodeSparse(words, anyDim)
 }
 
 // DecodeInto implements DecoderInto: Decode into caller-owned scratch.
 func (r *RandomK) DecodeInto(dst []float64, _ RoundContext, words []float64) ([]float64, error) {
-	return decodeSparseInto(dst, words)
+	return decodeSparseInto(dst, words, anyDim)
+}
+
+// DecodeAdd implements DecodeAdder: a scatter-add over the support.
+func (r *RandomK) DecodeAdd(dst []float64, _ RoundContext, words []float64) error {
+	return decodeSparseAdd(dst, words, anyDim)
 }
 
 // WireBytes implements Codec.

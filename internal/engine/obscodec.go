@@ -8,11 +8,11 @@ import (
 
 // The timed codec wrappers below are the engine's only per-call codec
 // instrumentation points: every pattern's phase program funnels its
-// Encode/Decode/DecodeInto calls through them. With observability off
-// (the default) each wrapper costs one atomic pointer load and one nil
-// check; enabled, it adds two monotonic clock reads and a histogram
-// observation — atomics only, no allocation, nothing the codec's own
-// determinism can see.
+// Encode/Decode/DecodeInto/DecodeAdd calls through them. With
+// observability off (the default) each wrapper costs one atomic pointer
+// load and one nil check; enabled, it adds two monotonic clock reads and a
+// histogram observation — atomics only, no allocation, nothing the codec's
+// own determinism can see.
 
 // encodeTimed runs c.Encode, observing the call latency in the global
 // engine metrics when enabled.
@@ -51,4 +51,17 @@ func decodeIntoTimed(d DecoderInto, buf []float64, ctx RoundContext, words []flo
 	out, err := d.DecodeInto(buf, ctx, words)
 	em.CodecDecodeSeconds.Observe(time.Since(start).Seconds())
 	return out, err
+}
+
+// decodeAddTimed runs a.DecodeAdd, observing the call latency in the same
+// decode histogram as the expanding decoders.
+func decodeAddTimed(a DecodeAdder, dst []float64, ctx RoundContext, words []float64) error {
+	em := obs.Current().EngineM()
+	if em.CodecDecodeSeconds == nil {
+		return a.DecodeAdd(dst, ctx, words)
+	}
+	start := time.Now()
+	err := a.DecodeAdd(dst, ctx, words)
+	em.CodecDecodeSeconds.Observe(time.Since(start).Seconds())
+	return err
 }

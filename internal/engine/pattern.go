@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -654,8 +655,12 @@ func phaseSendAll(ctx RoundContext, tr PhasedTransport, words []float64) error {
 
 // phaseRecvSumAll drains every other rank's deposit in ascending order,
 // decoding and accumulating into vec (which already holds the rank's own
-// contribution) — the receive half of the all-gather.
+// contribution) — the receive half of the all-gather. Codecs with
+// DecodeAdd add their support in place; the rest, and every codec in a
+// round whose own contribution holds a −0 or NaN entry, decode into scratch
+// and add the whole vector (DecodeAdder says why both give the same bits).
 func phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr PhasedTransport, st *PhaseState, vec []float64) error {
+	sparseAdd := !hasNegZeroOrNaN(vec)
 	for q := 0; q < ctx.N; q++ {
 		if q == ctx.Self {
 			continue
@@ -664,19 +669,35 @@ func phaseRecvSumAll(ctx RoundContext, codecs []Codec, tr PhasedTransport, st *P
 		if err != nil {
 			return err
 		}
-		vals, err := st.decodeScratch(codecs[q], ctx, pw)
-		if err != nil {
-			return err
-		}
-		if len(vals) != len(vec) {
-			return fmt.Errorf("engine: all-gather payload of %d values, want %d", len(vals), len(vec))
+		if a, ok := codecs[q].(DecodeAdder); ok && sparseAdd {
+			if err := decodeAddTimed(a, vec, ctx, pw); err != nil {
+				return err
+			}
+		} else {
+			vals, err := st.decodeScratch(codecs[q], ctx, pw)
+			if err != nil {
+				return err
+			}
+			if len(vals) != len(vec) {
+				return fmt.Errorf("engine: all-gather payload of %d values, want %d", len(vals), len(vec))
+			}
+			for j, v := range vals {
+				vec[j] += v
+			}
 		}
 		st.Rep.Flows = append(st.Rep.Flows, Flow{Peer: q, Sent: st.sent, Recv: codecs[q].WireBytes(pw)})
-		for j, v := range vals {
-			vec[j] += v
-		}
 	}
 	return nil
+}
+
+// hasNegZeroOrNaN reports whether v holds a −0 or NaN entry.
+func hasNegZeroOrNaN(v []float64) bool {
+	for _, x := range v {
+		if x != x || math.Float64bits(x) == 1<<63 {
+			return true
+		}
+	}
+	return false
 }
 
 // requireAllActive rejects plans with dynamic membership for patterns whose

@@ -196,6 +196,75 @@ func TestAllGatherSumsDecodedPayloads(t *testing.T) {
 	}
 }
 
+// expandOnly hides a top-k codec's DecodeAdd, so the all-gather receive
+// path decodes each payload into scratch and adds the whole vector.
+type expandOnly struct{ c *engine.TopK }
+
+func (e expandOnly) Name() string { return e.c.Name() }
+func (e expandOnly) Encode(ctx engine.RoundContext, v []float64) ([]float64, error) {
+	return e.c.Encode(ctx, v)
+}
+func (e expandOnly) Decode(ctx engine.RoundContext, w []float64) ([]float64, error) {
+	return e.c.Decode(ctx, w)
+}
+func (e expandOnly) DecodeInto(dst []float64, ctx engine.RoundContext, w []float64) ([]float64, error) {
+	return e.c.DecodeInto(dst, ctx, w)
+}
+func (e expandOnly) WireBytes(w []float64) int64 { return e.c.WireBytes(w) }
+
+// TestAllGatherDecodeAddMatchesDense: the all-gather sum is bit-identical
+// whether peers' payloads are scatter-added or decoded and added densely,
+// including when a rank's own payload carries −0 (which a skipped +0 add
+// would leave unflipped) or NaN. Rank 0 sends every coordinate; the others
+// send one or two, so rank 0's own −0 entries sit off its peers' support.
+func TestAllGatherDecodeAddMatchesDense(t *testing.T) {
+	const n, D = 4, 8
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		own  []float64
+	}{
+		{"plain", []float64{1, 2, 3, 4, 5, 6, 7, 8}},
+		{"negative zero", []float64{negZero, 2, negZero, 4, negZero, 6, 7, negZero}},
+		{"NaN", []float64{1, math.NaN(), 3, 4, 5, 6, 7, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			outs := [][]float64{tc.own}
+			for i := 1; i < n; i++ {
+				v := make([]float64, D)
+				for j := range v {
+					v[j] = float64((i*5+j*3)%7) - 3
+				}
+				outs = append(outs, v)
+			}
+			codecs := func(dense bool) []engine.Codec {
+				cs := make([]engine.Codec, n)
+				for i := range cs {
+					c := engine.NewTopK(1+i%2, D, false)
+					if i == 0 {
+						c = engine.NewTopK(D, D, false)
+					}
+					cs[i] = c
+					if dense {
+						cs[i] = expandOnly{c}
+					}
+				}
+				return cs
+			}
+			sparse, _ := runPattern(t, engine.AllGather{}, outs, codecs(false), core.RoundPlan{})
+			dense, _ := runPattern(t, engine.AllGather{}, outs, codecs(true), core.RoundPlan{})
+			for i := range sparse {
+				got, want := sparse[i].merged[0].Vals, dense[i].merged[0].Vals
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("node %d coord %d: DecodeAdd sum %v, dense sum %v", i, j, got[j], want[j])
+					}
+				}
+			}
+		})
+	}
+}
+
 // hubNode exercises the hub choreography: workers must see the downlink
 // before Compute (pull → train → push).
 type hubNode struct {
